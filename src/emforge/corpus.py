@@ -94,7 +94,7 @@ def desk_scale_counts(total: int) -> dict[str, tuple[int, int]]:
     multiples of the table total reproduce it exactly.
     """
     if total < 60:
-        raise ValueError("total must be >= 60 to populate every task cell")
+        raise ConfigError("total", "must be >= 60 to populate every task cell")
     cells = [c for task in TASK_ORDER for c in BENCH_COMPOSITION[task]]
     quotas = [total * c / BENCH_COMPOSITION_TOTAL for c in cells]
     alloc = _largest_remainder(quotas, total)
@@ -170,6 +170,18 @@ class CorpusSpec:
         for task in TASK_ORDER:
             if self.sample_rates.get(task, 0) <= 0:
                 raise ConfigError("sample_rates", f"{task} needs a positive sample rate")
+        try:
+            stft = StftParams(self.stft_window, self.stft_hop)
+        except ValueError as exc:
+            raise ConfigError("stft_window/stft_hop", str(exc)) from exc
+        if self.stft_window > builders.MR_SAMPLES:
+            raise ConfigError(
+                "stft_window", f"must not exceed the {builders.MR_SAMPLES} samples of an MR record"
+            )
+        try:
+            RenderParams(size=self.image_size, stft=stft)
+        except ValueError as exc:
+            raise ConfigError("image_size", str(exc)) from exc
 
     def to_dict(self) -> dict:
         return {
@@ -188,29 +200,37 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
-        spec = cls.default_desk()
-        known = set(spec.to_dict())
         for key in data:
-            if key not in known:
+            if key not in _FIELD_READERS:
                 raise ConfigError(key, "unknown config field")
-        merged = spec.to_dict() | data
-        # counts replaces the whole per-task map (it defines what to build);
-        # grids and rates merge per task onto the defaults.
-        merged["snr_grids"] = dict(DEFAULT_SNR_GRIDS) | dict(merged["snr_grids"])
-        merged["sample_rates"] = dict(DEFAULT_SAMPLE_RATES) | dict(merged["sample_rates"])
-        return cls(
-            global_seed=int(merged["global_seed"]),
-            counts={t: (int(c[0]), int(c[1])) for t, c in merged["counts"].items()},
-            snr_grids={t: tuple(float(s) for s in g) for t, g in merged["snr_grids"].items()},
-            sample_rates={t: float(r) for t, r in merged["sample_rates"].items()},
-            bench_fraction=float(merged["bench_fraction"]),
-            split_salt=str(merged["split_salt"]),
-            per_bin_min=int(merged["per_bin_min"]),
-            image_size=int(merged["image_size"]),
-            stft_window=int(merged["stft_window"]),
-            stft_hop=int(merged["stft_hop"]),
-            ei_device_count=int(merged["ei_device_count"]),
-        )
+        merged = cls.default_desk().to_dict() | data
+        fields = {}
+        for name, read in _FIELD_READERS.items():
+            try:
+                fields[name] = read(merged[name])
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(name, f"cannot read {merged[name]!r} ({exc})") from exc
+        return cls(**fields)
+
+
+# Config field -> reader from its JSON value. counts replaces the whole
+# per-task map (it defines what to build); grids and rates merge per task
+# onto the defaults.
+_FIELD_READERS = {
+    "global_seed": int,
+    "counts": lambda m: {t: tuple(int(c) for c in pair) for t, pair in m.items()},
+    "snr_grids": lambda m: {
+        t: tuple(float(s) for s in g) for t, g in (DEFAULT_SNR_GRIDS | dict(m)).items()
+    },
+    "sample_rates": lambda m: {t: float(r) for t, r in (DEFAULT_SAMPLE_RATES | dict(m)).items()},
+    "bench_fraction": float,
+    "split_salt": str,
+    "per_bin_min": int,
+    "image_size": int,
+    "stft_window": int,
+    "stft_hop": int,
+    "ei_device_count": int,
+}
 
 
 MANIFEST_FIELDS = (

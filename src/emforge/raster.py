@@ -1,4 +1,16 @@
-"""Integer raster primitives for deterministic, text-free plots."""
+"""Integer raster primitives for deterministic, text-free plots.
+
+Every primitive is array code; none loops over pixels, dots or buckets.
+Views build a label per pixel from masks and `paint` maps labels to
+colors in one gather.
+
+Polylines step one column per segment: `polyline_runs` joins (x, ys[x])
+to (x + 1, ys[x + 1]) with the pixels Bresenham's algorithm paints. With
+D = |ys[x+1] - ys[x]| and k = max(1, (D + 1) // 2), column x gets the k
+rows from ys[x] stepping toward ys[x+1] and column x + 1 the rest through
+ys[x+1] (just ys[x+1] when D = 0). Both segments touching column x contain
+ys[x], so each column is painted on one contiguous run of rows.
+"""
 
 from __future__ import annotations
 
@@ -7,47 +19,37 @@ import numpy as np
 WHITE = (255, 255, 255)
 
 
-def blank_canvas(width: int, height: int, color=WHITE) -> np.ndarray:
-    img = np.empty((height, width, 3), dtype=np.uint8)
-    img[:, :] = color
-    return img
+def paint(labels: np.ndarray, palette) -> np.ndarray:
+    """(H, W, 3) uint8 image with pixel (y, x) colored palette[labels[y, x]]."""
+    return np.take(np.asarray(palette, dtype=np.uint8), labels, axis=0)
 
 
-def draw_dot(img: np.ndarray, x: int, y: int, color, radius: int = 2) -> None:
-    """Filled square dot of side 2*radius+1, clipped to the canvas."""
-    h, w = img.shape[:2]
-    x0, x1 = max(x - radius, 0), min(x + radius + 1, w)
-    y0, y1 = max(y - radius, 0), min(y + radius + 1, h)
-    if x0 < x1 and y0 < y1:
-        img[y0:y1, x0:x1] = color
+def column_runs(height: int, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """(height, len(top)) mask: column x is set on rows top[x]..bottom[x] inclusive."""
+    rows = np.arange(height)[:, None]
+    return (rows >= top) & (rows <= bottom)
 
 
-def draw_line(img: np.ndarray, x0: int, y0: int, x1: int, y1: int, color) -> None:
-    """Bresenham line segment, clipped to the canvas."""
-    h, w = img.shape[:2]
-    dx = abs(x1 - x0)
-    dy = -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    x, y = x0, y0
-    while True:
-        if 0 <= x < w and 0 <= y < h:
-            img[y, x] = color
-        if x == x1 and y == y1:
-            break
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
+def polyline_runs(ys) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (top, bottom) rows of the polyline through (x, ys[x])."""
+    ys = np.asarray(ys, dtype=np.int64)
+    d = np.diff(ys)
+    last = ys[:-1] + np.sign(d) * ((np.abs(d) - 1) // 2)  # segment's last row in its left column
+    first = last + np.sign(d)  # and its first row in its right column
+    ends = np.stack([ys, np.append(last, ys[-1]), np.insert(first, 0, ys[0])])
+    return ends.min(axis=0), ends.max(axis=0)
 
 
-def draw_polyline(img: np.ndarray, xs, ys, color) -> None:
-    for i in range(len(xs) - 1):
-        draw_line(img, xs[i], ys[i], xs[i + 1], ys[i + 1], color)
+def dot_mask(height: int, width: int, xs, ys, radius: int = 2) -> np.ndarray:
+    """Mask of filled square dots of side 2*radius+1 centered on (xs, ys), clipped."""
+    side = 2 * radius + 1
+    centers = np.zeros((height + side - 1, width + side - 1), dtype=bool)
+    xs, ys = np.asarray(xs) + radius, np.asarray(ys) + radius
+    keep = (xs >= 0) & (xs < centers.shape[1]) & (ys >= 0) & (ys < centers.shape[0])
+    centers[ys[keep], xs[keep]] = True
+    # Dilate by the radius: OR of the grid shifted 0..side-1 rows, then columns.
+    rows = np.logical_or.reduce([centers[i : i + height] for i in range(side)])
+    return np.logical_or.reduce([rows[:, i : i + width] for i in range(side)])
 
 
 def spectrogram_colormap() -> np.ndarray:
@@ -68,17 +70,11 @@ def nn_resize(matrix: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def bucket_minmax(values: np.ndarray, n_buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bucket min and max; buckets are nearest-neighbor when upsampling."""
-    n = values.size
-    if n >= n_buckets:
-        edges = (np.arange(n_buckets + 1) * n) // n_buckets
-        mins = np.empty(n_buckets)
-        maxs = np.empty(n_buckets)
-        for b in range(n_buckets):
-            chunk = values[edges[b] : max(edges[b + 1], edges[b] + 1)]
-            mins[b] = chunk.min()
-            maxs[b] = chunk.max()
-        return mins, maxs
-    idx = (np.arange(n_buckets) * n) // n_buckets
-    v = values[idx]
-    return v.copy(), v.copy()
+    """Per-bucket min and max; buckets are nearest-neighbor when upsampling.
+
+    Bucket b starts at sample (b * n) // n_buckets and runs to the next
+    bucket's start; with fewer samples than buckets every bucket is one
+    sample.
+    """
+    starts = (np.arange(n_buckets) * values.size) // n_buckets
+    return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)

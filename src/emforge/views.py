@@ -12,14 +12,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import png
 from .raster import (
-    blank_canvas,
+    WHITE,
     bucket_minmax,
-    draw_dot,
-    draw_polyline,
+    column_runs,
+    dot_mask,
     nn_resize,
+    paint,
+    polyline_runs,
     spectrogram_colormap,
 )
 from .signal import IqSignal
@@ -112,13 +115,9 @@ def stft(signal: IqSignal, params: StftParams = StftParams()) -> np.ndarray:
         raise ValueError(
             f"signal of {n} samples is shorter than one {params.window_len}-sample window"
         )
-    window = _hann(params.window_len)
-    n_frames = 1 + (n - params.window_len) // params.hop
-    out = np.empty((params.window_len, n_frames))
-    for k in range(n_frames):
-        frame = signal.samples[k * params.hop : k * params.hop + params.window_len]
-        out[:, k] = np.abs(np.fft.fftshift(np.fft.fft(frame * window)))
-    return out
+    frames = sliding_window_view(signal.samples, params.window_len)[:: params.hop]
+    spectra = np.fft.fft(frames * _hann(params.window_len), axis=1)
+    return np.abs(np.fft.fftshift(spectra, axes=1)).T
 
 
 def normalized_db(matrix: np.ndarray, floor_db: float = SPECTRUM_FLOOR_DB) -> np.ndarray:
@@ -136,7 +135,6 @@ def _to_px(value: np.ndarray, lo: float, hi: float, size: int) -> np.ndarray:
 
 
 def _render_constellation(signal: IqSignal, p: RenderParams) -> np.ndarray:
-    img = blank_canvas(p.size, p.size)
     stride = p.constellation_stride or 4
     pts = signal.samples[::stride]
     lim = 1.5 * np.max(np.abs(signal.samples))
@@ -144,63 +142,53 @@ def _render_constellation(signal: IqSignal, p: RenderParams) -> np.ndarray:
         lim = 1.0
     xs = _to_px(pts.real, -lim, lim, p.size)
     ys = (p.size - 1) - _to_px(pts.imag, -lim, lim, p.size)
-    for x, y in zip(xs, ys):
-        draw_dot(img, x, y, CONSTELLATION_COLOR, radius=2)
-    return img
+    return paint(dot_mask(p.size, p.size, xs, ys, radius=2), (WHITE, CONSTELLATION_COLOR))
 
 
 def _render_spectrum(signal: IqSignal, p: RenderParams) -> np.ndarray:
-    img = blank_canvas(p.size, p.size)
     level = normalized_db(fft_magnitude(signal))
     _, peak = bucket_minmax(level, p.size)  # peak-preserving column reduction
     ys = (p.size - 1) - _to_px(peak, 0.0, 1.0, p.size)
-    draw_polyline(img, list(range(p.size)), list(ys), SPECTRUM_COLOR)
-    return img
+    return paint(column_runs(p.size, *polyline_runs(ys)), (WHITE, SPECTRUM_COLOR))
 
 
 def _render_spectrogram(signal: IqSignal, p: RenderParams) -> np.ndarray:
     level = normalized_db(stft(signal, p.stft))
+    index = np.clip(np.round(level * 255), 0, 255).astype(np.uint8)
     # Row 0 = highest frequency at the top of the image.
-    resized = nn_resize(level[::-1], p.size, p.size)
-    index = np.clip(np.round(resized * 255), 0, 255).astype(int)
-    return spectrogram_colormap()[index]
+    return paint(nn_resize(index[::-1], p.size, p.size), spectrogram_colormap())
 
 
 def _render_waveform(signal: IqSignal, p: RenderParams) -> np.ndarray:
-    img = blank_canvas(p.size, p.size)
     env = np.abs(signal.samples)
     lim = 1.05 * env.max()
     if lim == 0:
         lim = 1.0
-    xs = list(range(p.size))
-    for values, color in (
-        (signal.samples.real, WAVEFORM_I_COLOR),
-        (signal.samples.imag, WAVEFORM_Q_COLOR),
-        (env, ENVELOPE_COLOR),
-    ):
+    labels = np.zeros((p.size, p.size), dtype=np.uint8)
+    # Later traces overwrite earlier ones: I, then Q, then the envelope.
+    for label, values in enumerate((signal.samples.real, signal.samples.imag, env), start=1):
         lo, hi = bucket_minmax(values, p.size)
         y_lo = (p.size - 1) - _to_px(lo, -lim, lim, p.size)
         y_hi = (p.size - 1) - _to_px(hi, -lim, lim, p.size)
-        for x in xs:
-            img[y_hi[x] : y_lo[x] + 1, x] = color
-        draw_polyline(img, xs, [(a + b) // 2 for a, b in zip(y_lo, y_hi)], color)
-    return img
+        # Each column's min-max fill and the midline polyline both contain
+        # the midline row, so their union is one run of rows per column.
+        top, bottom = polyline_runs((y_lo + y_hi) // 2)
+        labels[column_runs(p.size, np.minimum(top, y_hi), np.maximum(bottom, y_lo))] = label
+    return paint(labels, (WHITE, WAVEFORM_I_COLOR, WAVEFORM_Q_COLOR, ENVELOPE_COLOR))
+
+
+_RENDERERS = {
+    ViewKind.CONSTELLATION: _render_constellation,
+    ViewKind.FFT_SPECTRUM: _render_spectrum,
+    ViewKind.STFT_SPECTROGRAM: _render_spectrogram,
+    ViewKind.IQ_WAVEFORM: _render_waveform,
+}
 
 
 def render_view(signal: IqSignal, kind: ViewKind, params: RenderParams | None = None) -> RasterImage:
     """Render one view as a deterministic fixed-size RGB raster."""
     p = params or RenderParams()
-    kind = ViewKind(kind)
-    if kind is ViewKind.CONSTELLATION:
-        pixels = _render_constellation(signal, p)
-    elif kind is ViewKind.FFT_SPECTRUM:
-        pixels = _render_spectrum(signal, p)
-    elif kind is ViewKind.STFT_SPECTROGRAM:
-        pixels = _render_spectrogram(signal, p)
-    elif kind is ViewKind.IQ_WAVEFORM:
-        pixels = _render_waveform(signal, p)
-    else:
-        raise ValueError(f"unsupported view kind: {kind!r}")
+    pixels = _RENDERERS[ViewKind(kind)](signal, p)  # ViewKind raises ValueError on unknown kinds
     return RasterImage(p.size, p.size, pixels)
 
 

@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import emforge
 from emforge.cli import main
 from emforge.corpus import gold_prediction, read_manifest
 
@@ -86,6 +89,40 @@ class TestBuild:
         code = main(["build", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "snr_grids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"stft_window": 100}, "stft_window"),
+            ({"image_size": 8}, "image_size"),
+            ({"counts": {"MR": ["a", 3]}}, "counts"),
+            ({"counts": {"MR": [0, 2]}, "stft_window": 2048}, "stft_window"),
+            ({"counts": {"MR": [0, 2, 5]}}, "counts"),
+        ],
+    )
+    def test_config_error_exit_2_before_writing(self, tmp_path, capsys, overrides, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, **overrides)))
+        out = tmp_path / "o"
+        assert main(["build", "--config", str(path), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_total_below_60_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["build", "--total", "10", "--out", str(out)]) == 2
+        assert "total" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_python_dash_m_entry_point(self):
+        src = os.path.dirname(os.path.dirname(emforge.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "emforge", "budget", "--stage", "3"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "7299" in result.stdout
 
     def test_env_var_default_out(self, tmp_path, config_path, monkeypatch):
         target = tmp_path / "from-env"
