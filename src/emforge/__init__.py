@@ -10,6 +10,7 @@ from .corpus import (
     ConfigError,
     CorpusSpec,
     ManifestRecord,
+    RecordError,
     TaskFamily,
     assign_split,
     build_corpus,

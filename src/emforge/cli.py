@@ -109,7 +109,10 @@ def cmd_render(args) -> int:
 
 def cmd_score(args) -> int:
     records = read_manifest(args.manifest)
-    predictions = metrics.load_predictions(args.predictions)
+    try:
+        predictions = metrics.load_predictions(args.predictions)
+    except ValueError as exc:
+        raise ConfigError("predictions", str(exc)) from exc
     try:
         report = metrics.score_predictions(records, predictions)
     except KeyError as exc:
@@ -167,7 +170,7 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument(
         "--total", type=int, help="benchmark-table-proportional total record count"
     )
-    p_build.add_argument("--workers", type=int, default=1, help="worker pool size")
+    p_build.add_argument("--workers", type=int, default=1, help="worker processes")
     p_build.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or emforge-out)")
     p_build.set_defaults(func=cmd_build)
 

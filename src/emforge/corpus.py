@@ -13,13 +13,19 @@ import hashlib
 import json
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
-from . import builders
+from . import builders, png
 from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER
-from .views import RenderParams, StftParams, VIEW_ORDER, encode_png, render_view
+
+# perfbench's tracer patches builders.draft_record and, here, _build_one, render_view,
+# encode_png, assign_split, stratified_bench and write_manifest by name: keep them.
+from .views import RenderParams, StftParams, VIEW_ORDER, encode_png, render_view  # noqa: F401
 
 
 class TaskFamily(str, Enum):
@@ -68,6 +74,14 @@ DEFAULT_SAMPLE_RATES = {
 
 DEFAULT_SPLIT_SALT = "emforge-split-v1"
 TASK_ORDER = tuple(BENCH_COMPOSITION)
+
+# Each build process runs one PNG encoder thread, with one view queued
+# behind the view it compresses: more threads or a deeper queue bought no
+# wall time and cost memory. Pool workers take jobs in chunks.
+_ENCODER_THREADS = 1
+_QUEUED_VIEWS = 1
+_POOL_CHUNK = 8
+ENCODER_THREAD_PREFIX = "emforge-encode"
 
 
 class ConfigError(ValueError):
@@ -385,23 +399,45 @@ def _view_paths(sample_id: str) -> tuple:
     return tuple(f"images/{sample_id}_{kind.value}.png" for kind in VIEW_ORDER)
 
 
-def _build_one(task: str, index: int, fmt: str, spec: CorpusSpec, out_dir, render: bool, ei_plan):
-    sample_id = builders.record_id(task, index)
-    draft = builders.draft_record(task, index, fmt, spec, ei_plan)
-    paths = _view_paths(sample_id)
+class RecordError(RuntimeError):
+    """A record failed to build; the message starts with its sample_id."""
 
+    def __init__(self, sample_id: str, reason: str):
+        # Both values stay in args so the error pickles back from a pool worker.
+        super().__init__(sample_id, reason)
+        self.sample_id = sample_id
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}: {self.args[1]}"
+
+
+@contextmanager
+def _naming(sample_id: str):
+    """Re-raise a failure inside as a RecordError naming `sample_id`."""
+    try:
+        yield
+    except RecordError:
+        raise
+    except Exception as exc:
+        raise RecordError(sample_id, f"{type(exc).__name__}: {exc}") from exc
+
+
+def _build_one(sample_id: str, task: str, fmt: str, draft, spec: CorpusSpec, out_dir, pngs):
+    """Hash one drafted record, write its PNGs, and assemble its manifest record.
+
+    `pngs` holds the four PNG byte strings in VIEW_ORDER, or None in plan
+    mode, which hashes the raw IQ content the views derive from instead.
+    """
+    paths = _view_paths(sample_id)
     hasher = hashlib.sha256()
-    if render:
-        params = _render_params(spec, draft.constellation_stride)
-        for kind, rel_path in zip(VIEW_ORDER, paths):
-            data = encode_png(render_view(draft.signal, kind, params))
+    if pngs is None:
+        hasher.update(draft.signal.samples.tobytes())
+    else:
+        for rel_path, data in zip(paths, pngs):
             hasher.update(data)
             if out_dir is not None:
                 with open(os.path.join(out_dir, rel_path), "wb") as fh:
                     fh.write(data)
-    else:
-        # Plan mode: hash the raw IQ content the views derive from.
-        hasher.update(draft.signal.samples.tobytes())
     hasher.update(b"\x00")
     hasher.update(draft.answer.encode())
 
@@ -419,6 +455,63 @@ def _build_one(task: str, index: int, fmt: str, spec: CorpusSpec, out_dir, rende
         split=assign_split(sample_id, spec.split_salt, spec.bench_fraction),
         content_hash=hasher.hexdigest(),
     )
+
+
+def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
+    """The record loop of every build: one ManifestRecord per job, in job order.
+
+    A rendered build is a two-stage pipeline. This thread drafts each
+    record, renders its views and lays out their PNG scanlines; one
+    encoder thread compresses view k while view k+1 renders, with at
+    most one view queued behind it. The PNG bytes come back in
+    VIEW_ORDER and are hashed and written on this thread, so no output
+    byte depends on the encoder. Plan mode renders nothing and starts no
+    thread. Any failure re-raises as a RecordError naming its record,
+    and the encoder thread is joined on every exit.
+    """
+    records = []
+    pending = deque()  # (record args, futures) of unfinished records, in job order
+
+    def settle(limit: int) -> None:
+        # Wait until at most `limit` views are still compressing or queued,
+        # then finish every leading record whose four PNGs are done.
+        unfinished = [f for _, futures in pending for f in futures if not f.done()]
+        wait(unfinished[: max(0, len(unfinished) - limit)])
+        while pending:
+            args, futures = pending[0]
+            if len(futures) < len(VIEW_ORDER) or not all(f.done() for f in futures):
+                break
+            pending.popleft()
+            with _naming(args[0]):
+                pngs = [f.result() for f in futures]
+                records.append(_build_one(*args, spec, out_dir, pngs))
+
+    encoder = (
+        ThreadPoolExecutor(max_workers=_ENCODER_THREADS, thread_name_prefix=ENCODER_THREAD_PREFIX)
+        if render
+        else None
+    )
+    try:
+        for task, index, fmt, ei_plan in jobs:
+            sample_id = builders.record_id(task, index)
+            with _naming(sample_id):
+                draft = builders.draft_record(task, index, fmt, spec, ei_plan)
+                args = (sample_id, task, fmt, draft)
+                if encoder is None:
+                    records.append(_build_one(*args, spec, out_dir, None))
+                    continue
+                futures = []
+                pending.append((args, futures))
+                params = _render_params(spec, draft.constellation_stride)
+                for kind in VIEW_ORDER:
+                    rows = png.scanlines(render_view(draft.signal, kind, params).pixels)
+                    settle(_QUEUED_VIEWS)
+                    futures.append(encoder.submit(png.deflate_scanlines, rows))
+        settle(0)
+    finally:
+        if encoder is not None:
+            encoder.shutdown(wait=True, cancel_futures=True)
+    return records
 
 
 def _task_jobs(task: str, spec: CorpusSpec):
@@ -439,15 +532,8 @@ def build_task(task: str, spec: CorpusSpec, out_dir=None, render: bool = True):
     spec.validate()
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-    records = [
-        _build_one(task, i, fmt, spec, out_dir, render, ei_plan)
-        for task, i, fmt, ei_plan in _task_jobs(task, spec)
-    ]
+    records = _build_records(_task_jobs(task, spec), spec, out_dir, render)
     return sorted(records, key=lambda r: r.sample_id)
-
-
-def _pool_job(args):
-    return _build_one(*args)
 
 
 def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool = True):
@@ -461,16 +547,16 @@ def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool 
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
 
-    jobs = [
-        (task, i, fmt, spec, out_dir, render, ei_plan)
-        for task in TASK_ORDER
-        for task, i, fmt, ei_plan in _task_jobs(task, spec)
-    ]
+    jobs = [job for task in TASK_ORDER for job in _task_jobs(task, spec)]
     if workers > 1:
+        # This process starts no encoder thread, so none is alive when the
+        # pool forks; each worker runs the record loop, with its own encoder, per chunk.
+        chunks = [jobs[i : i + _POOL_CHUNK] for i in range(0, len(jobs), _POOL_CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_pool_job, jobs, chunksize=8))
+            parts = pool.map(_build_records, chunks, repeat(spec), repeat(out_dir), repeat(render))
+            records = [record for part in parts for record in part]
     else:
-        records = [_build_one(*job) for job in jobs]
+        records = _build_records(jobs, spec, out_dir, render)
 
     by_task: dict[str, list] = {}
     for record in records:

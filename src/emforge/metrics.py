@@ -272,6 +272,10 @@ def load_predictions(path) -> dict:
                 text = row["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed prediction line ({exc})") from exc
+            if not isinstance(sample_id, str) or not isinstance(text, str):
+                raise ValueError(
+                    f"{path}:{lineno}: malformed prediction line (sample_id and text must be strings)"
+                )
             if sample_id in predictions:
                 raise ValueError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
             predictions[sample_id] = text
@@ -367,13 +371,15 @@ def score_predictions(records, predictions: dict) -> ScoreReport:
         b = sum(bleu4(c, rs) for c, rs in zip(cands, refs)) / len(cands)
         r_l = sum(rouge_l(c, rs[0]) for c, rs in zip(cands, refs)) / len(cands)
         m = sum(meteor(c, rs[0]) for c, rs in zip(cands, refs)) / len(cands)
-        _, c_mean = cider(cands, refs)
+        # CIDEr's IDF needs at least two items; below that, it and the
+        # composite built on it are reported as null.
+        c_mean = cider(cands, refs)[1] if len(cands) >= 2 else None
         report.ajsd = {
             "bleu4": round(b, 6),
             "rouge_l": round(r_l, 6),
             "meteor": round(m, 6),
-            "cider": round(c_mean, 6),
-            "composite": round(ajsd_composite(b, r_l, m, c_mean), 4),
+            "cider": None if c_mean is None else round(c_mean, 6),
+            "composite": None if c_mean is None else round(ajsd_composite(b, r_l, m, c_mean), 4),
             "count": len(ajsd_records),
         }
 
@@ -403,10 +409,12 @@ def format_report_table(report: ScoreReport) -> str:
             )
     if report.ajsd:
         a = report.ajsd
+        composite = "n/a" if a["composite"] is None else f"{a['composite']:.2f}"
+        cider_text = "n/a" if a["cider"] is None else f"{a['cider']:.3f}"
         lines.append(
-            f"{'AJSD':6s} {'OpenQA':8s} {a['count']:>6d} {a['composite']:>8.2f}  "
+            f"{'AJSD':6s} {'OpenQA':8s} {a['count']:>6d} {composite:>8s}  "
             f"(bleu4 {a['bleu4']:.3f}, rouge {a['rouge_l']:.3f}, "
-            f"meteor {a['meteor']:.3f}, cider {a['cider']:.3f})"
+            f"meteor {a['meteor']:.3f}, cider {cider_text})"
         )
     lines.append(f"unparseable predictions: {report.unparseable} of {report.total}")
     return "\n".join(lines)

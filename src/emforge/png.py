@@ -2,6 +2,12 @@
 
 Encodes 8-bit RGB, non-interlaced, filter type 0 on every scanline,
 zlib level 6, so the same input pixels always produce the same bytes.
+Encoding is two steps: `scanlines` lays the pixels out as filter-0 rows
+(numpy work that holds the GIL), and `deflate_scanlines` compresses
+those rows and assembles the chunks. zlib releases the GIL while it
+compresses, so the second step can run on another thread; deflate
+output depends only on the input bytes and the level, so which thread
+runs it cannot change a byte. `encode_png` is the two steps in a row.
 The decoder handles the five standard scanline filters.
 """
 
@@ -25,18 +31,29 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
     )
 
 
-def encode_png(pixels: np.ndarray) -> bytes:
-    """Encode an (H, W, 3) uint8 array as a PNG byte string."""
+def scanlines(pixels: np.ndarray) -> np.ndarray:
+    """The (H, 1 + 3W) filter-0 scanline array of an (H, W, 3) uint8 image."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
         raise ValueError("expected an (H, W, 3) uint8 pixel array")
     h, w = pixels.shape[:2]
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
     raw = np.empty((h, 1 + w * 3), dtype=np.uint8)
     raw[:, 0] = 0  # filter type 0 per scanline
     raw[:, 1:] = pixels.reshape(h, w * 3)
-    idat = zlib.compress(raw.tobytes(), _ZLIB_LEVEL)
+    return raw
+
+
+def deflate_scanlines(raw: np.ndarray) -> bytes:
+    """The PNG byte string of a `scanlines` array: zlib level 6 plus the chunks."""
+    h, stride = raw.shape
+    ihdr = struct.pack(">IIBBBBB", (stride - 1) // 3, h, 8, 2, 0, 0, 0)
+    idat = zlib.compress(raw, _ZLIB_LEVEL)  # reads the C-contiguous buffer, no copy
     return _SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
+
+
+def encode_png(pixels: np.ndarray) -> bytes:
+    """Encode an (H, W, 3) uint8 array as a PNG byte string."""
+    return deflate_scanlines(scanlines(pixels))
 
 
 def _unfilter(raw: np.ndarray, h: int, w: int) -> np.ndarray:

@@ -7,6 +7,7 @@ lines; the suite also passes silently under plain `pytest`.
 import hashlib
 import json
 import os
+import platform
 from collections import Counter
 from contextlib import contextmanager
 
@@ -310,12 +311,22 @@ def test_criterion_10_gold_run(desk_corpus):
         assert empty.unparseable == empty.total
 
 
+# The desk tree digest, pinned across commits like tests/test_golden.py;
+# it moves with the numpy FFT and zlib in use, so an upgrade is a re-pin.
+DESK_TREE_DIGEST = "e2abd588545aab2d69fe826f3c2bdc9652bcac329b60e755645bee7e87652cc6"
+DESK_PINNED_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6"}
+
+
 def test_criterion_11_full_build_determinism(desk_corpus, tmp_path):
     with criterion(11, "two identical-config builds are byte-identical, reports too"):
         out, spec = desk_corpus
         second = tmp_path / "corpus-again"
         build_corpus(spec, out_dir=str(second))
         assert _tree_hash(out) == _tree_hash(second)
+        running = {"python": platform.python_version(), "numpy": np.__version__}
+        assert _tree_hash(out) == DESK_TREE_DIGEST, (
+            f"desk tree bytes changed; pinned with {DESK_PINNED_VERSIONS}, running {running}"
+        )
 
         records = read_manifest(out / "manifest_bench.jsonl")
         gold = {r.sample_id: gold_prediction(r) for r in records}

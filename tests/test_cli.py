@@ -193,6 +193,55 @@ class TestScore:
         assert code == 2
         assert "ghost-00000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{{"sample_id": "{sid}", "text": 5}}',
+            '{{"sample_id": "{sid}", "text": null}}',
+            '{{"sample_id": 7, "text": "<answer>A</answer>"}}',
+            '{{"sample_id": "{sid}"}}',
+            '["{sid}", "<answer>A</answer>"]',
+            "not json",
+        ],
+        ids=["text-int", "text-null", "sample-id-int", "text-missing", "not-object", "not-json"],
+    )
+    def test_malformed_prediction_line_exit_2(self, built, tmp_path, capsys, line):
+        manifest = built / "manifest_bench.jsonl"
+        sample_id = read_manifest(manifest)[0].sample_id
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(line.format(sid=sample_id) + "\n")
+        code = main(["score", "--manifest", str(manifest), "--predictions", str(preds)])
+        assert code == 2
+        assert "preds.jsonl:1: malformed prediction line" in capsys.readouterr().err
+
+    def test_single_ajsd_record_reports_null_cider(self, tmp_path, capsys):
+        config = tmp_path / "ajsd.json"
+        config.write_text(json.dumps({"counts": {"AJSD": [6, 0]}}))
+        out = tmp_path / "corpus"
+        assert main(["build", "--config", str(config), "--out", str(out)]) == 0
+        manifest = out / "manifest_bench.jsonl"
+        records = read_manifest(manifest)
+        assert len(records) == 1
+        preds = tmp_path / "gold.jsonl"
+        self._write_preds(preds, records, gold_prediction)
+        report_path = tmp_path / "report.json"
+        csv_path = tmp_path / "snr.csv"
+        capsys.readouterr()
+        code = main([
+            "score", "--manifest", str(manifest), "--predictions", str(preds),
+            "--report", str(report_path), "--csv", str(csv_path),
+        ])
+        assert code == 0
+        table = capsys.readouterr().out
+        ajsd = json.loads(report_path.read_text())["ajsd"]
+        assert ajsd["count"] == 1
+        assert ajsd["cider"] is None and ajsd["composite"] is None
+        assert ajsd["bleu4"] == ajsd["rouge_l"] == 1.0
+        assert "n/a" in table and "cider n/a" in table
+        assert main(["report", "--report", str(report_path)]) == 0
+        assert capsys.readouterr().out == table
+        assert csv_path.read_text() == "task,snr_db,count,accuracy_pct\n"
+
     def test_report_replay(self, built, tmp_path, capsys):
         manifest = built / "manifest_bench.jsonl"
         records = read_manifest(manifest)

@@ -1,13 +1,18 @@
 """Counts, splits, stratification, builders' label plumbing, manifest I/O."""
 
 import json
+import threading
 
+import numpy as np
 import pytest
 
+from emforge import builders, corpus, png
 from emforge.corpus import (
+    ENCODER_THREAD_PREFIX,
     ConfigError,
     CorpusSpec,
     ManifestRecord,
+    RecordError,
     BENCH_COMPOSITION,
     BENCH_COMPOSITION_TOTAL,
     assign_split,
@@ -20,6 +25,7 @@ from emforge.corpus import (
     task_format_split,
     write_manifest,
 )
+from emforge.views import ViewKind, render_view
 
 SMALL_GRIDS = {
     "SSD": (-10.0, 0.0, 10.0, 20.0),
@@ -249,6 +255,51 @@ class TestBuildCorpus:
         train_b, bench_b = build_corpus(spec, render=False, workers=3)
         assert [r.to_dict() for r in train_a] == [r.to_dict() for r in train_b]
         assert [r.to_dict() for r in bench_a] == [r.to_dict() for r in bench_b]
+
+
+class TestRecordErrors:
+    """A failure names its record, and no encoder thread outlives the build."""
+
+    SPEC = {"counts": {"MR": [0, 4]}, "per_bin_min": 0}
+
+    @staticmethod
+    def _encoder_threads():
+        return [t for t in threading.enumerate() if t.name.startswith(ENCODER_THREAD_PREFIX)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compress_failure_names_record(self, tmp_path, monkeypatch, workers):
+        spec = CorpusSpec.from_dict(self.SPEC)
+        draft = builders.draft_record("MR", 2, "MCQA", spec)
+        params = corpus._render_params(spec, draft.constellation_stride)
+        target = png.scanlines(render_view(draft.signal, ViewKind.FFT_SPECTRUM, params).pixels)
+        deflate = png.deflate_scanlines
+
+        def failing(rows):
+            if np.array_equal(rows, target):
+                raise RuntimeError("injected compress failure")
+            return deflate(rows)
+
+        monkeypatch.setattr(png, "deflate_scanlines", failing)
+        with pytest.raises(RecordError, match="^mr-00002: RuntimeError: injected") as err:
+            build_corpus(spec, out_dir=str(tmp_path), workers=workers)
+        assert err.value.sample_id == "mr-00002"
+        assert not self._encoder_threads()
+
+    @pytest.mark.parametrize("render", [True, False])
+    def test_draft_failure_names_record(self, monkeypatch, render):
+        spec = CorpusSpec.from_dict(self.SPEC)
+        draft_record = builders.draft_record
+
+        def failing(task, index, *args):
+            if index == 1:
+                raise ValueError("injected draft failure")
+            return draft_record(task, index, *args)
+
+        monkeypatch.setattr(builders, "draft_record", failing)
+        with pytest.raises(RecordError, match="^mr-00001: ValueError: injected") as err:
+            build_corpus(spec, render=render)
+        assert err.value.sample_id == "mr-00001"
+        assert not self._encoder_threads()
 
 
 class TestConfigValidation:

@@ -10,6 +10,7 @@ CHANGES.md), never a skip.
 
 import hashlib
 import platform
+import sys
 
 import numpy as np
 
@@ -54,11 +55,31 @@ def golden_digests(out) -> dict:
     return digests
 
 
-def test_small_build_matches_pinned_digests(tmp_path):
+def _check_golden(tmp_path, workers):
     out = tmp_path / "golden"
-    train, bench = build_corpus(CorpusSpec.from_dict(GOLDEN_CONFIG), out_dir=str(out))
+    spec = CorpusSpec.from_dict(GOLDEN_CONFIG)
+    train, bench = build_corpus(spec, out_dir=str(out), workers=workers)
     assert len(train) + len(bench) == 11
     running = {"python": platform.python_version(), "numpy": np.__version__}
     assert golden_digests(out) == PINNED_DIGESTS, (
         f"golden build bytes changed; pinned with {PINNED_VERSIONS}, running {running}"
     )
+
+
+def test_small_build_matches_pinned_digests(tmp_path):
+    _check_golden(tmp_path, workers=1)
+
+
+def test_small_build_with_two_workers_matches_pinned_digests(tmp_path):
+    """The process pool, each worker with its own encoder thread, writes the same bytes."""
+    _check_golden(tmp_path, workers=2)
+
+
+def test_small_build_under_fast_thread_switching(tmp_path):
+    """Switching between the main and encoder threads every microsecond moves no byte."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _check_golden(tmp_path, workers=1)
+    finally:
+        sys.setswitchinterval(interval)
