@@ -108,7 +108,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_score(args) -> int:
-    records = read_manifest(args.manifest)
+    try:
+        records = read_manifest(args.manifest)
+    except ValueError as exc:
+        raise ConfigError("manifest", str(exc)) from exc
     try:
         predictions = metrics.load_predictions(args.predictions)
     except ValueError as exc:
@@ -125,6 +128,9 @@ def cmd_score(args) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.snr_tables_csv(report))
+    if args.per_record:
+        with open(args.per_record, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(json.dumps(o.to_row()) + "\n" for o in report.outcomes)
     return 0
 
 
@@ -186,6 +192,9 @@ def _parser() -> argparse.ArgumentParser:
     p_score.add_argument("--predictions", required=True)
     p_score.add_argument("--report", help="write the machine-readable report JSON here")
     p_score.add_argument("--csv", help="write the SNR-binned tables as CSV here")
+    p_score.add_argument(
+        "--per-record", help="write one JSON line per scored record here, in manifest order"
+    )
     p_score.set_defaults(func=cmd_score)
 
     p_report = sub.add_parser("report", help="print a previously written report")

@@ -279,6 +279,10 @@ class ManifestRecord:
     content_hash: str
 
     def __post_init__(self):
+        if self.task not in TASK_TAGS:
+            raise ValueError(f"unknown task {self.task!r}")
+        if self.format not in ("MCQA", "OpenQA"):
+            raise ValueError(f"unknown format {self.format!r}")
         if len(self.view_paths) != 4:
             raise ValueError("records reference exactly 4 views")
         if self.format == "MCQA":

@@ -7,14 +7,32 @@ F-measure with beta = 1.2; METEOR uses exact-then-stem matching with
 alpha = 0.9, beta = 3.0, gamma = 0.5 and no synonym resource; CIDEr is
 the mean over n of TF-IDF n-gram cosine similarity at scale 1.0.
 Unparseable or missing predictions count as incorrect.
+
+Scoring a bench makes one outcome per record, in manifest order; the
+per-task accuracies, the unparseable count and the SNR tables are folds
+over that list, so each prediction is checked once. AJSD free text is
+scored in two streaming passes. The first tokenises every reference once,
+interning tokens to ints, and counts CIDEr's document frequencies. The
+second takes one item at a time: it tokenises the candidate once, counts
+the 1-4-grams of candidate and reference once each, and feeds all four
+metrics from those tokens and counts. No n-gram counter outlives its
+item, so memory does not grow with the bench. ROUGE-L's LCS length is
+bit-parallel over Python ints (Allison & Dix 1986; Hyyrö 2004); METEOR
+looks each token, then each stem, up in a map to its unused reference
+positions. The public `bleu4`, `rouge_l`, `meteor` and `cider` run the
+same token-level kernels. Every per-item formula keeps one order of
+operations and corpus means are sums of per-item lists in record order,
+so a score does not depend on which path computed it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .instrgen import TASK_TAGS, TagKind
 
@@ -42,8 +60,48 @@ def _stem(token: str) -> str:
     return token
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: list, n_max: int) -> list[Counter]:
+    """Counts of the 1..n_max-grams of `tokens`, keyed by tuple, in first-occurrence order."""
+    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, n_max + 1)]
+
+
+class _Vocab:
+    """Token -> int id for one scoring call, and each token id's stem id."""
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        self.stem_ids: dict[str, int] = {}
+        self.stem_of: list[int] = []
+
+    def intern(self, text: str) -> list[int]:
+        ids = self.ids
+        tokens = tokenize(text)
+        for tok in tokens:
+            if tok not in ids:
+                ids[tok] = len(ids)
+                self.stem_of.append(self.stem_ids.setdefault(_stem(tok), len(self.stem_ids)))
+        return [ids[tok] for tok in tokens]
+
+
+def _bleu4(cand_len: int, cand_grams: list, ref_lens: list[int], clip_grams: list) -> float:
+    """BLEU4 from 1-4-gram counts; `clip_grams` holds each gram's highest reference count."""
+    if not cand_len or not ref_lens:
+        return 0.0
+
+    log_sum = 0.0
+    for counts, clip in zip(cand_grams, clip_grams):
+        total = sum(counts.values())
+        if total == 0:
+            log_sum += math.log(BLEU_EPSILON)
+            continue
+        matched = sum(min(c, clip.get(g, 0)) for g, c in counts.items())
+        precision = matched / total
+        log_sum += math.log(precision) if precision > 0 else math.log(BLEU_EPSILON)
+
+    c = cand_len
+    r = min((abs(n - c), n) for n in ref_lens)[1]  # closest ref length
+    bp = 1.0 if c > r else math.exp(1 - r / c)
+    return bp * math.exp(log_sum / 4)
 
 
 def bleu4(candidate: str, references: list[str] | str) -> float:
@@ -52,45 +110,31 @@ def bleu4(candidate: str, references: list[str] | str) -> float:
         references = [references]
     cand = tokenize(candidate)
     refs = [tokenize(r) for r in references]
-    if not cand or not refs:
-        return 0.0
-
-    log_sum = 0.0
-    for n in range(1, 5):
-        counts = _ngrams(cand, n)
-        total = sum(counts.values())
-        if total == 0:
-            log_sum += math.log(BLEU_EPSILON)
-            continue
-        clip = Counter()
-        for ref in refs:
-            ref_counts = _ngrams(ref, n)
-            for gram in counts:
-                clip[gram] = max(clip[gram], ref_counts.get(gram, 0))
-        matched = sum(min(counts[g], clip[g]) for g in counts)
-        precision = matched / total
-        log_sum += math.log(precision) if precision > 0 else math.log(BLEU_EPSILON)
-
-    c = len(cand)
-    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]  # closest ref length
-    bp = 1.0 if c > r else math.exp(1 - r / c)
-    return bp * math.exp(log_sum / 4)
+    ref_grams = [_ngram_counts(ref, 4) for ref in refs]
+    clip_grams = [reduce(operator.or_, per_n) for per_n in zip(*ref_grams)]
+    return _bleu4(len(cand), _ngram_counts(cand, 4), [len(ref) for ref in refs], clip_grams)
 
 
-def _lcs_len(a: list[str], b: list[str]) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, 1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+def _lcs_len(a: list, b: list) -> int:
+    """LCS length, bit-parallel over Python ints (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit i of a token's mask marks a[i]; after each token of b, the zero
+    bits of v count the LCS so far.
+    """
+    masks: dict = {}
+    for i, tok in enumerate(a):
+        masks[tok] = masks.get(tok, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for tok in b:
+        m = masks.get(tok)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
-def rouge_l(candidate: str, reference: str) -> float:
-    """LCS-based F-measure with beta weighting recall."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+def _rouge_l(cand: list, ref: list) -> float:
     if not cand or not ref:
         return 0.0
     lcs = _lcs_len(cand, ref)
@@ -102,35 +146,40 @@ def rouge_l(candidate: str, reference: str) -> float:
     return (1 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
 
-def _meteor_alignment(cand: list[str], ref: list[str]) -> list[tuple[int, int]]:
+def rouge_l(candidate: str, reference: str) -> float:
+    """LCS-based F-measure with beta weighting recall."""
+    return _rouge_l(tokenize(candidate), tokenize(reference))
+
+
+def _meteor_alignment(cand: list, ref: list, stem=_stem) -> list[tuple[int, int]]:
     """Greedy two-stage alignment: exact matches first, then stem matches.
 
     Each pass walks the candidate left to right and takes the earliest
-    unused reference position, which keeps identical sentences in one
-    contiguous chunk.
+    unused reference position with the same key, which keeps identical
+    sentences in one contiguous chunk. The unused positions of each key
+    sit in a list, earliest last.
     """
-    used_ref: set[int] = set()
     pairs: dict[int, int] = {}
-    for key in (lambda t: t, _stem):
-        for i, tok in enumerate(cand):
-            if i in pairs:
-                continue
-            want = key(tok)
-            for j, rtok in enumerate(ref):
-                if j not in used_ref and key(rtok) == want:
-                    pairs[i] = j
-                    used_ref.add(j)
-                    break
+    for cand_keys, ref_keys in ((cand, ref), (map(stem, cand), map(stem, ref))):
+        used = set(pairs.values())
+        free: dict = {}
+        for j, key in reversed(list(enumerate(ref_keys))):
+            if j not in used:
+                free.setdefault(key, []).append(j)
+        for i, key in enumerate(cand_keys):
+            if i not in pairs:
+                slots = free.get(key)
+                if slots:
+                    pairs[i] = slots.pop()
+        if len(pairs) == len(cand):
+            break
     return sorted(pairs.items())
 
 
-def meteor(candidate: str, reference: str) -> float:
-    """Harmonic-mean F with a fragmentation (chunk) penalty."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+def _meteor(cand: list, ref: list, stem=_stem) -> float:
     if not cand or not ref:
         return 0.0
-    pairs = _meteor_alignment(cand, ref)
+    pairs = _meteor_alignment(cand, ref, stem)
     m = len(pairs)
     if m == 0:
         return 0.0
@@ -145,9 +194,25 @@ def meteor(candidate: str, reference: str) -> float:
     return f_mean * (1 - penalty)
 
 
-def _tfidf_vec(tokens: list[str], n: int, idf: dict) -> dict:
-    counts = _ngrams(tokens, n)
-    return {g: c * idf.get(g, 0.0) for g, c in counts.items()}
+def meteor(candidate: str, reference: str) -> float:
+    """Harmonic-mean F with a fragmentation (chunk) penalty."""
+    return _meteor(tokenize(candidate), tokenize(reference))
+
+
+def _idf_tables(ref_sets, n_docs: int, n_max: int) -> list[dict]:
+    """Per n, log(N / document frequency) of every reference n-gram (one document per item)."""
+    df = [Counter() for _ in range(n_max)]
+    for refs in ref_sets:
+        for n in range(1, n_max + 1):
+            seen = set()
+            for toks in refs:
+                seen.update(zip(*(toks[k:] for k in range(n))))
+            df[n - 1].update(seen)
+    return [{g: math.log(n_docs / max(c, 1)) for g, c in d.items()} for d in df]
+
+
+def _tfidf_vec(counts: Counter, idf: dict, default: float) -> dict:
+    return {g: c * idf.get(g, default) for g, c in counts.items()}
 
 
 def _cosine(u: dict, v: dict) -> float:
@@ -157,6 +222,17 @@ def _cosine(u: dict, v: dict) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return dot / (nu * nv)
+
+
+def _cider(cand_grams: list, refs_grams: list, idf_by_n: list, n_docs: int, scale: float) -> float:
+    """One item's mean over n of TF-IDF cosines; n-grams absent from every reference get log(N)."""
+    default = math.log(n_docs)
+    score_n = []
+    for n, idf in enumerate(idf_by_n):
+        u = _tfidf_vec(cand_grams[n], idf, default)
+        sims = [_cosine(u, _tfidf_vec(grams[n], idf, default)) for grams in refs_grams]
+        score_n.append(sum(sims) / len(sims) if sims else 0.0)
+    return scale * sum(score_n) / len(idf_by_n)
 
 
 def cider(
@@ -177,30 +253,46 @@ def cider(
         raise ValueError("CIDEr needs a corpus of >= 2 items for meaningful IDF")
 
     ref_tokens = [[tokenize(r) for r in refs] for refs in references]
-    idf_by_n: list[dict] = []
-    for n in range(1, n_max + 1):
-        df = Counter()
-        for refs in ref_tokens:
-            seen = set()
-            for toks in refs:
-                seen.update(_ngrams(toks, n).keys())
-            df.update(seen)
-        idf_by_n.append({g: math.log(n_docs / max(c, 1)) for g, c in df.items()})
-
-    def idf_for(n: int, gram) -> float:
-        return idf_by_n[n - 1].get(gram, math.log(n_docs))
-
-    per_item = []
-    for cand_text, refs in zip(candidates, ref_tokens):
-        cand = tokenize(cand_text)
-        score_n = []
-        for n in range(1, n_max + 1):
-            idf = idf_by_n[n - 1]
-            u = {g: c * idf_for(n, g) for g, c in _ngrams(cand, n).items()}
-            sims = [_cosine(u, _tfidf_vec(toks, n, idf)) for toks in refs]
-            score_n.append(sum(sims) / len(sims) if sims else 0.0)
-        per_item.append(scale * sum(score_n) / n_max)
+    idf_by_n = _idf_tables(ref_tokens, n_docs, n_max)
+    per_item = [
+        _cider(
+            _ngram_counts(tokenize(cand), n_max),
+            [_ngram_counts(toks, n_max) for toks in refs],
+            idf_by_n,
+            n_docs,
+            scale,
+        )
+        for cand, refs in zip(candidates, ref_tokens)
+    ]
     return per_item, sum(per_item) / n_docs
+
+
+def _ajsd_text_scores(records, predictions: dict):
+    """(bleu4, rouge_l, meteor, cider) per AJSD record, in order, in two streaming passes.
+
+    Pass 1 tokenises every reference once and counts CIDEr's document
+    frequencies; pass 2 tokenises one candidate, counts its and its
+    reference's n-grams once, and feeds all four metrics. CIDEr is None
+    below two items.
+    """
+    vocab = _Vocab()
+    refs = [vocab.intern(r.answer) for r in records]
+    n_docs = len(refs)
+    idf_by_n = _idf_tables([[ref] for ref in refs], n_docs, CIDER_N_MAX) if n_docs >= 2 else None
+    stem = vocab.stem_of.__getitem__
+    for record, ref in zip(records, refs):
+        cand = vocab.intern(predictions.get(record.sample_id, ""))
+        cand_grams = _ngram_counts(cand, 4)
+        ref_grams = _ngram_counts(ref, 4)
+        cider_item = None
+        if idf_by_n is not None:
+            cider_item = _cider(cand_grams, [ref_grams], idf_by_n, n_docs, CIDER_SCALE)
+        yield (
+            _bleu4(len(cand), cand_grams, [len(ref)], ref_grams),
+            _rouge_l(cand, ref),
+            _meteor(cand, ref, stem),
+            cider_item,
+        )
 
 
 def mean_of_four(b: float, r: float, m: float, c: float) -> float:
@@ -229,6 +321,37 @@ def parse_tag(text: str, tag: TagKind) -> str | None:
 # ---------------------------------------------------------------------------
 
 
+TEXT_METRICS = ("bleu4", "rouge_l", "meteor", "cider")
+
+
+@dataclass(slots=True)
+class Outcome:
+    """One scored record. AJSD free text has no `correct`: its per-item
+    (bleu4, rouge_l, meteor, cider) sit in `text_scores` instead."""
+
+    sample_id: str
+    task: str
+    format: str
+    snr_db: float | None
+    parseable: bool
+    correct: bool | None = None
+    text_scores: tuple | None = None
+
+    def to_row(self) -> dict:
+        row = {
+            "sample_id": self.sample_id,
+            "task": self.task,
+            "format": self.format,
+            "snr_db": self.snr_db,
+            "parseable": self.parseable,
+        }
+        if self.text_scores is None:
+            row["correct"] = self.correct
+        else:
+            row.update(zip(TEXT_METRICS, self.text_scores))
+        return row
+
+
 @dataclass
 class ScoreReport:
     per_task: dict = field(default_factory=dict)
@@ -236,6 +359,8 @@ class ScoreReport:
     snr_tables: dict = field(default_factory=dict)
     unparseable: int = 0
     total: int = 0
+    # Per-record outcomes in manifest order; not part of the report JSON.
+    outcomes: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -306,90 +431,88 @@ def record_correctness(record, text: str) -> tuple[bool, bool]:
     return payload.strip().lower() == (gt or "").strip().lower(), True
 
 
+def _tagged_outcome(record, text: str) -> Outcome:
+    correct, parseable = record_correctness(record, text)
+    return Outcome(record.sample_id, record.task, record.format, record.snr_db, parseable, correct)
+
+
+def _snr_rows(outcomes, bins) -> list[dict]:
+    count = Counter(o.snr_db for o in outcomes)
+    correct = Counter(o.snr_db for o in outcomes if o.correct)
+    return [
+        {
+            "snr_db": snr,
+            "count": count[snr],
+            "accuracy_pct": round(100.0 * correct[snr] / count[snr], 4) if count[snr] else None,
+        }
+        for snr in sorted(bins)
+    ]
+
+
 def snr_binned_report(predictions: dict, records, bins) -> list[dict]:
     """Accuracy per SNR bin; rows sorted by bin value.
 
     Empty bins report count 0 and a None accuracy marker.
     """
-    rows = []
-    for snr in sorted(bins):
-        in_bin = [r for r in records if r.snr_db == snr]
-        n = len(in_bin)
-        correct = sum(
-            1 for r in in_bin if record_correctness(r, predictions.get(r.sample_id, ""))[0]
-        )
-        rows.append(
-            {
-                "snr_db": snr,
-                "count": n,
-                "accuracy_pct": round(100.0 * correct / n, 4) if n else None,
-            }
-        )
-    return rows
+    return _snr_rows([_tagged_outcome(r, predictions.get(r.sample_id, "")) for r in records], bins)
 
 
 def score_predictions(records, predictions: dict) -> ScoreReport:
-    """Fold a {sample_id: text} prediction map against manifest records."""
+    """Fold a {sample_id: text} prediction map against manifest records.
+
+    One pass makes an outcome per record, in manifest order; every
+    number of the report is a fold over that list.
+    """
     known = {r.sample_id for r in records}
     for sample_id in predictions:
         if sample_id not in known:
             raise KeyError(f"prediction for unknown sample_id {sample_id!r}")
 
-    report = ScoreReport(total=len(records))
-    by_task: dict[str, list] = {}
-    for record in records:
-        by_task.setdefault(record.task, []).append(record)
+    ajsd_records = [r for r in records if r.task == "AJSD"]
+    text_scores = _ajsd_text_scores(ajsd_records, predictions)
+    outcomes = []
+    for r in records:
+        text = predictions.get(r.sample_id, "")
+        if r.task == "AJSD":
+            outcomes.append(Outcome(r.sample_id, r.task, r.format, r.snr_db, bool(text.strip()),
+                                    text_scores=next(text_scores)))
+        else:
+            outcomes.append(_tagged_outcome(r, text))
 
-    for task, task_records in sorted(by_task.items()):
-        if task == "AJSD":
-            continue
+    report = ScoreReport(
+        total=len(records),
+        unparseable=sum(not o.parseable for o in outcomes),
+        outcomes=outcomes,
+    )
+    for task in sorted({o.task for o in outcomes} - {"AJSD"}):
+        task_outcomes = [o for o in outcomes if o.task == task]
         stats: dict = {}
         for fmt in ("MCQA", "OpenQA"):
-            fmt_records = [r for r in task_records if r.format == fmt]
-            if not fmt_records:
-                continue
-            n_correct = 0
-            for r in fmt_records:
-                ok, parseable = record_correctness(r, predictions.get(r.sample_id, ""))
-                if not parseable:
-                    report.unparseable += 1
-                n_correct += ok
-            key = "mcqa_accuracy_pct" if fmt == "MCQA" else "openqa_accuracy_pct"
-            stats[key] = round(100.0 * n_correct / len(fmt_records), 4)
-            stats[f"{fmt.lower()}_count"] = len(fmt_records)
+            correct = [o.correct for o in task_outcomes if o.format == fmt]
+            if correct:
+                key = "mcqa_accuracy_pct" if fmt == "MCQA" else "openqa_accuracy_pct"
+                stats[key] = round(100.0 * sum(correct) / len(correct), 4)
+                stats[f"{fmt.lower()}_count"] = len(correct)
         report.per_task[task] = stats
+        labeled = [o for o in task_outcomes if o.snr_db is not None]
+        if labeled:
+            report.snr_tables[task] = _snr_rows(labeled, {o.snr_db for o in labeled})
 
-    ajsd_records = by_task.get("AJSD", [])
     if ajsd_records:
-        cands = []
-        for r in ajsd_records:
-            text = predictions.get(r.sample_id, "").strip()
-            if not text:
-                report.unparseable += 1
-            cands.append(text)
-        refs = [[r.answer] for r in ajsd_records]
-        b = sum(bleu4(c, rs) for c, rs in zip(cands, refs)) / len(cands)
-        r_l = sum(rouge_l(c, rs[0]) for c, rs in zip(cands, refs)) / len(cands)
-        m = sum(meteor(c, rs[0]) for c, rs in zip(cands, refs)) / len(cands)
+        n = len(ajsd_records)
+        bleu, rouge, met, cid = zip(*(o.text_scores for o in outcomes if o.task == "AJSD"))
+        b, r_l, m = sum(bleu) / n, sum(rouge) / n, sum(met) / n
         # CIDEr's IDF needs at least two items; below that, it and the
         # composite built on it are reported as null.
-        c_mean = cider(cands, refs)[1] if len(cands) >= 2 else None
+        c_mean = sum(cid) / n if n >= 2 else None
         report.ajsd = {
             "bleu4": round(b, 6),
             "rouge_l": round(r_l, 6),
             "meteor": round(m, 6),
             "cider": None if c_mean is None else round(c_mean, 6),
             "composite": None if c_mean is None else round(ajsd_composite(b, r_l, m, c_mean), 4),
-            "count": len(ajsd_records),
+            "count": n,
         }
-
-    for task, task_records in sorted(by_task.items()):
-        if task == "AJSD":
-            continue
-        labeled = [r for r in task_records if r.snr_db is not None]
-        snrs = sorted({r.snr_db for r in labeled})
-        if snrs:
-            report.snr_tables[task] = snr_binned_report(predictions, labeled, snrs)
     return report
 
 

@@ -11,6 +11,7 @@ import pytest
 import emforge
 from emforge.cli import main
 from emforge.corpus import gold_prediction, read_manifest
+from emforge.metrics import TEXT_METRICS
 
 SMALL_CONFIG = {
     "counts": {
@@ -28,6 +29,23 @@ SMALL_CONFIG = {
         "PR": [-20, 0, 18],
     },
     "bench_fraction": 0.3,
+}
+
+
+# One well-formed bench record, written by hand.
+MANIFEST_RECORD = {
+    "sample_id": "mr-00000",
+    "task": "MR",
+    "format": "MCQA",
+    "view_paths": [f"images/mr-00000_{v}.png" for v in "abcd"],
+    "question": "Which modulation is this?",
+    "options": ["BPSK", "QPSK", "8PSK", "QAM16", "Unable to answer"],
+    "answer": "B",
+    "tag": "answer",
+    "snr_db": 0.0,
+    "ground_truth": {"label": "QPSK"},
+    "split": "bench",
+    "content_hash": "0" * 64,
 }
 
 
@@ -241,6 +259,93 @@ class TestScore:
         assert main(["report", "--report", str(report_path)]) == 0
         assert capsys.readouterr().out == table
         assert csv_path.read_text() == "task,snr_db,count,accuracy_pct\n"
+
+    def test_hand_written_manifest_scores(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(MANIFEST_RECORD) + "\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"sample_id": "mr-00000", "text": "<answer>B</answer>"}\n')
+        assert main(["score", "--manifest", str(manifest), "--predictions", str(preds)]) == 0
+        assert "100.00%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("{not json", "malformed manifest line (Expecting property name"),
+            ('{"sample_id": "x"}', "malformed manifest line (missing fields: task, format,"),
+            (json.dumps({**MANIFEST_RECORD, "task": "FOO"}), "unknown task 'FOO'"),
+            (json.dumps({**MANIFEST_RECORD, "format": "Essay"}), "unknown format 'Essay'"),
+        ],
+        ids=["bad-json", "missing-fields", "unknown-task", "unknown-format"],
+    )
+    def test_malformed_manifest_exit_2(self, tmp_path, capsys, line, message):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(MANIFEST_RECORD) + "\n" + line + "\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        report = tmp_path / "report.json"
+        code = main([
+            "score", "--manifest", str(manifest), "--predictions", str(preds),
+            "--report", str(report),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: manifest: " in err and "manifest.jsonl:2: " in err
+        assert message in err
+        assert not report.exists()
+
+    def test_per_record_rows_agree_with_report(self, built, tmp_path, capsys):
+        manifest = built / "manifest_train.jsonl"
+        records = read_manifest(manifest)
+        preds = tmp_path / "mixed.jsonl"
+        with open(preds, "w") as fh:
+            for i, r in enumerate(records):
+                if i % 3 == 2:
+                    continue
+                if i % 3 == 0:
+                    text = gold_prediction(r)
+                elif r.task == "AJSD":
+                    text = " ".join(r.answer.split()[::2])
+                else:
+                    text = "<answer>E</answer>"
+                fh.write(json.dumps({"sample_id": r.sample_id, "text": text}) + "\n")
+        outputs = {}
+        for extra in ([], ["--per-record", str(tmp_path / "rows.jsonl")]):
+            tag = "with" if extra else "without"
+            capsys.readouterr()
+            code = main([
+                "score", "--manifest", str(manifest), "--predictions", str(preds),
+                "--report", str(tmp_path / f"report-{tag}.json"),
+                "--csv", str(tmp_path / f"snr-{tag}.csv"),
+            ] + extra)
+            assert code == 0
+            outputs[tag] = (
+                capsys.readouterr().out,
+                (tmp_path / f"report-{tag}.json").read_bytes(),
+                (tmp_path / f"snr-{tag}.csv").read_bytes(),
+            )
+        assert outputs["with"] == outputs["without"]
+
+        report = json.loads(outputs["with"][1])
+        rows = [json.loads(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
+        assert [row["sample_id"] for row in rows] == [r.sample_id for r in records]
+        assert sum(not row["parseable"] for row in rows) == report["unparseable"] > 0
+        for task, stats in report["per_task"].items():
+            for fmt in ("MCQA", "OpenQA"):
+                cell = [row["correct"] for row in rows
+                        if row["task"] == task and row["format"] == fmt]
+                assert len(cell) == stats.get(f"{fmt.lower()}_count", 0)
+                if cell:
+                    accuracy = round(100.0 * sum(cell) / len(cell), 4)
+                    assert accuracy == stats[f"{fmt.lower()}_accuracy_pct"]
+        ajsd = [row for row in rows if row["task"] == "AJSD"]
+        assert len(ajsd) == report["ajsd"]["count"] >= 2
+        for name in TEXT_METRICS:
+            mean = sum(row[name] for row in ajsd) / len(ajsd)
+            assert round(mean, 6) == report["ajsd"][name]
+        assert all("correct" not in row for row in ajsd)
+        assert all(set(row) == {"sample_id", "task", "format", "snr_db", "parseable", "correct"}
+                   for row in rows if row["task"] != "AJSD")
 
     def test_report_replay(self, built, tmp_path, capsys):
         manifest = built / "manifest_bench.jsonl"

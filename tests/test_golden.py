@@ -9,12 +9,16 @@ CHANGES.md), never a skip.
 """
 
 import hashlib
+import json
 import platform
+import random
+import re
 import sys
 
 import numpy as np
 
 from emforge.corpus import CorpusSpec, build_corpus
+from emforge.metrics import score_predictions
 
 # Every (task, format) cell the builder supports, one record each, with
 # SNR grids trimmed so every bin holds a record.
@@ -83,3 +87,102 @@ def test_small_build_under_fast_thread_switching(tmp_path):
         _check_golden(tmp_path, workers=1)
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# Score report of a mixed prediction set, pinned across commits.
+# ---------------------------------------------------------------------------
+
+PINNED_MIXED_REPORT = "62e1d6689b8115897cec0567ab9dcec465bf6969c5945962cc5b3e56990d1f51"
+OPTION_LETTERS = "ABCDE"
+
+
+def _payload(record) -> str:
+    if record.format == "MCQA":
+        return record.answer
+    return re.fullmatch(rf"<{record.tag}>(.*)</{record.tag}>", record.answer, re.DOTALL).group(1)
+
+
+def _garble(text: str, rng: random.Random) -> str:
+    """Drop, inflect, repeat and swap words of a free-text reference."""
+    words = []
+    for word in text.split():
+        roll = rng.random()
+        if roll < 0.2:
+            continue
+        if roll < 0.3 and word.isalpha():
+            word += rng.choice(("s", "ed", "ing"))
+        words.append(word)
+        if roll > 0.95:
+            words.append(word)
+    words = words or text.split()[:1]
+    for _ in range(len(words) // 4):
+        i = rng.randrange(max(len(words) - 1, 1))
+        words[i : i + 2] = words[i : i + 2][::-1]
+    return " ".join(words)
+
+
+def mixed_predictions(records, seed: int) -> dict:
+    """Seeded {sample_id: text}: gold, near misses, wrong answers, wrong or
+    missing tags, missing lines, and garbled AJSD free text."""
+    rng = random.Random(seed)
+    labels: dict[str, list] = {}
+    for r in records:
+        if r.format == "OpenQA" and r.task not in ("AJSD", "SPE"):
+            labels.setdefault(r.task, []).append(_payload(r))
+    predictions = {}
+    for r in records:
+        if r.task == "AJSD":
+            variant = rng.choices(("gold", "garbled", "shouted", "blank", "missing"),
+                                  (15, 60, 5, 5, 15))[0]
+            text = {
+                "gold": r.answer,
+                "garbled": _garble(r.answer, rng),
+                "shouted": r.answer.upper().replace(".", " !"),
+                "blank": "  \n ",
+                "missing": None,
+            }[variant]
+        else:
+            tag, payload = r.tag, _payload(r)
+            if r.format == "MCQA":
+                near = f"  {payload.lower()} "
+                wrong = rng.choice([x for x in OPTION_LETTERS if x != payload])
+            elif r.task == "SPE":
+                value, tol = r.ground_truth["value"], r.ground_truth["tolerance"]
+                near = f"{value + rng.uniform(-0.9, 0.9) * tol:.4f}"
+                wrong = f"{value + rng.choice((-1, 1)) * (1.5 * tol + 0.5):.4f}"
+            else:
+                near = payload.upper()
+                wrong = rng.choice(sorted(set(labels[r.task]) - {payload}) or ["none"])
+            other = "value" if tag != "value" else "answer"
+            variant = rng.choices(
+                ("gold", "near", "wordy", "wrong", "wrong_tag", "bare", "missing"),
+                (40, 10, 5, 20, 8, 7, 10),
+            )[0]
+            text = {
+                "gold": f"<{tag}>{payload}</{tag}>",
+                "near": f"<{tag}>{near}</{tag}>",
+                "wordy": f"I think it is <{tag}>{payload}</{tag}>, or <{tag}>{wrong}</{tag}>.",
+                "wrong": f"<{tag}>{wrong}</{tag}>",
+                "wrong_tag": f"<{other}>{payload}</{other}>",
+                "bare": payload,
+                "missing": None,
+            }[variant]
+        if text is not None:
+            predictions[r.sample_id] = text
+    return predictions
+
+
+def test_mixed_score_report_matches_pinned_digest():
+    """Scoring right, wrong, unparseable and garbled predictions writes pinned bytes."""
+    spec = CorpusSpec.from_total(846, global_seed=5)
+    train, bench = build_corpus(spec, None, workers=1, render=False)
+    records = train + bench
+    report = score_predictions(records, mixed_predictions(records, seed=5)).to_dict()
+    assert report["total"] == 846 and report["ajsd"]["count"] == 200
+    assert 0 < report["unparseable"] < 846
+    payload = json.dumps(report, indent=2, sort_keys=True)
+    running = {"python": platform.python_version(), "numpy": np.__version__}
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_MIXED_REPORT, (
+        f"mixed score report changed; pinned with {PINNED_VERSIONS}, running {running}"
+    )

@@ -1,9 +1,15 @@
 """Text metrics against independent brute-force implementations, tag
-parsing, accuracy folds, and report formatting."""
+parsing, accuracy folds, and report formatting.
+
+The scorer's O(n*m) dynamic-programming LCS and its scan-based METEOR
+alignment live on here as exact oracles for the bit-parallel LCS and
+the indexed alignment that replaced them.
+"""
 
 import json
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +23,10 @@ from emforge.metrics import (
     METEOR_GAMMA,
     ROUGE_BETA,
     ScoreReport,
+    _lcs_len,
+    _meteor_alignment,
+    _stem,
+    _Vocab,
     ajsd_composite,
     bleu4,
     cider,
@@ -109,12 +119,59 @@ def oracle_cider(candidates, references):
     return scores, sum(scores) / n_docs
 
 
+def oracle_lcs_len(a, b):
+    """Row-by-row dynamic programming over every (i, j) cell."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, 1):
+            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def oracle_meteor_alignment(cand, ref):
+    """Exact pass then stem pass; each candidate token scans the reference
+    for the earliest unused position with an equal key."""
+    used_ref = set()
+    pairs = {}
+    for key in (lambda t: t, _stem):
+        for i, tok in enumerate(cand):
+            if i in pairs:
+                continue
+            want = key(tok)
+            for j, rtok in enumerate(ref):
+                if j not in used_ref and key(rtok) == want:
+                    pairs[i] = j
+                    used_ref.add(j)
+                    break
+    return sorted(pairs.items())
+
+
+def oracle_meteor(candidate, reference):
+    cand = tokenize(candidate)
+    ref = tokenize(reference)
+    pairs = oracle_meteor_alignment(cand, ref)
+    if not pairs:
+        return 0.0
+    m = len(pairs)
+    p = m / len(cand)
+    r = m / len(ref)
+    f = p * r / (METEOR_ALPHA * p + (1 - METEOR_ALPHA) * r)
+    chunks = 1 + sum(
+        1 for (ci, ri), (cj, rj) in zip(pairs, pairs[1:]) if (cj, rj) != (ci + 1, ri + 1)
+    )
+    return f * (1 - METEOR_GAMMA * (chunks / m) ** METEOR_BETA)
+
+
 _WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
+# Words that collide under the stemmer, so METEOR's second pass has work.
+_STEM_WORDS = ["jump", "jumps", "jumped", "jumping", "alpha", "alphas", "echo", "echoes"]
 
 
-def _random_sentence(rng, max_len=10):
+def _random_sentence(rng, max_len=10, words=_WORDS):
     n = int(rng.integers(1, max_len + 1))
-    return " ".join(_WORDS[i] for i in rng.integers(0, len(_WORDS), n))
+    return " ".join(words[i] for i in rng.integers(0, len(words), n))
 
 
 class TestBleu:
@@ -136,6 +193,12 @@ class TestBleu:
             cand, ref = _random_sentence(rng), _random_sentence(rng)
             assert abs(bleu4(cand, ref) - oracle_bleu4(cand, ref)) < 1e-9
 
+    def test_oracle_sweep_long_sentences(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            cand, ref = _random_sentence(rng, 80), _random_sentence(rng, 80)
+            assert abs(bleu4(cand, ref) - oracle_bleu4(cand, ref)) < 1e-9
+
 
 class TestRouge:
     def test_identical_is_one(self):
@@ -154,6 +217,21 @@ class TestRouge:
             cand, ref = _random_sentence(rng), _random_sentence(rng)
             assert abs(rouge_l(cand, ref) - oracle_rouge_l(cand, ref)) < 1e-9
 
+    def test_oracle_sweep_long_sentences(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            cand, ref = _random_sentence(rng, 80), _random_sentence(rng, 80)
+            assert abs(rouge_l(cand, ref) - oracle_rouge_l(cand, ref)) < 1e-9
+
+    @pytest.mark.parametrize("n_words", [1, 2, 8])
+    def test_bit_parallel_lcs_matches_dp(self, n_words):
+        # 63/64/65 straddle a 64-bit word; 1-2 word vocabularies repeat heavily.
+        rng = np.random.default_rng(n_words)
+        for len_a, len_b in product((0, 1, 63, 64, 65, 200, 500), repeat=2):
+            a = [_WORDS[i] for i in rng.integers(0, n_words, len_a)]
+            b = [_WORDS[i] for i in rng.integers(0, n_words, len_b)]
+            assert _lcs_len(a, b) == oracle_lcs_len(a, b), (len_a, len_b)
+
 
 class TestMeteor:
     def test_zero_matches(self):
@@ -164,6 +242,24 @@ class TestMeteor:
         assert len(tokenize(text)) == 10
         expected = 1.0 * (1 - METEOR_GAMMA * (1 / 10) ** METEOR_BETA)
         assert abs(meteor(text, text) - expected) < 1e-12
+
+    def test_alignment_matches_scan(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            cand = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
+            ref = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
+            want = oracle_meteor_alignment(cand, ref)
+            assert _meteor_alignment(cand, ref) == want
+            vocab = _Vocab()
+            ids = vocab.intern(" ".join(ref)), vocab.intern(" ".join(cand))
+            assert _meteor_alignment(ids[1], ids[0], vocab.stem_of.__getitem__) == want
+
+    def test_oracle_sweep_long_sentences(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            cand = _random_sentence(rng, 80, _STEM_WORDS)
+            ref = _random_sentence(rng, 80, _STEM_WORDS)
+            assert meteor(cand, ref) == oracle_meteor(cand, ref)
 
     def test_reorder_scores_strictly_less(self):
         ref = "alpha bravo charlie delta echo foxtrot"
@@ -229,6 +325,17 @@ class TestCider:
             n = int(rng.integers(2, 6))
             cands = [_random_sentence(rng) for _ in range(n)]
             refs = [[_random_sentence(rng)] for _ in range(n)]
+            got_items, got_mean = cider(cands, refs)
+            want_items, want_mean = oracle_cider(cands, refs)
+            assert np.allclose(got_items, want_items, atol=1e-9)
+            assert abs(got_mean - want_mean) < 1e-9
+
+    def test_oracle_sweep_long_sentences(self):
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            n = int(rng.integers(2, 6))
+            cands = [_random_sentence(rng, 80) for _ in range(n)]
+            refs = [[_random_sentence(rng, 80)] for _ in range(n)]
             got_items, got_mean = cider(cands, refs)
             want_items, want_mean = oracle_cider(cands, refs)
             assert np.allclose(got_items, want_items, atol=1e-9)
