@@ -11,10 +11,8 @@ from .corpus import (
     CorpusSpec,
     ManifestRecord,
     RecordError,
-    TaskFamily,
     assign_split,
     build_corpus,
-    build_task,
     desk_scale_counts,
     gold_prediction,
     read_manifest,
@@ -24,7 +22,6 @@ from .corpus import (
 from .instrgen import (
     DistractorPolicy,
     OptionSet,
-    QaFormat,
     TagKind,
     make_ajsd_openqa,
     make_mcqa_categorical,

@@ -118,7 +118,7 @@ def cmd_score(args) -> int:
         raise ConfigError("predictions", str(exc)) from exc
     try:
         report = metrics.score_predictions(records, predictions)
-    except KeyError as exc:
+    except ValueError as exc:
         raise ConfigError("predictions", str(exc)) from exc
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.report:

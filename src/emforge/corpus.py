@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
 from . import builders, png
@@ -26,15 +26,6 @@ from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER
 # perfbench's tracer patches builders.draft_record and, here, _build_one, render_view,
 # encode_png, assign_split, stratified_bench and write_manifest by name: keep them.
 from .views import RenderParams, StftParams, VIEW_ORDER, encode_png, render_view  # noqa: F401
-
-
-class TaskFamily(str, Enum):
-    SSD = "SSD"
-    SPE = "SPE"
-    MR = "MR"
-    PR = "PR"
-    EI = "EI"
-    AJSD = "AJSD"
 
 
 # Per-task (OpenQA, MCQA) bench counts; the cell order fixes largest-
@@ -174,16 +165,19 @@ class CorpusSpec:
         for task, grid in self.snr_grids.items():
             if task not in TASK_SNR_RANGES_DB:
                 raise ConfigError("snr_grids", f"{task} does not take an SNR grid")
-            if not grid or list(grid) != sorted(grid):
-                raise ConfigError("snr_grids", f"{task} grid must be a sorted nonempty list")
+            if not grid or not all(map(math.isfinite, grid)) or list(grid) != sorted(grid):
+                raise ConfigError(
+                    "snr_grids", f"{task} grid must be a sorted nonempty list of finite values"
+                )
             lo, hi = TASK_SNR_RANGES_DB[task]
             if grid[0] < lo or grid[-1] > hi:
                 raise ConfigError(
                     "snr_grids", f"{task} grid must stay within [{lo:g}, {hi:g}] dB"
                 )
         for task in TASK_ORDER:
-            if self.sample_rates.get(task, 0) <= 0:
-                raise ConfigError("sample_rates", f"{task} needs a positive sample rate")
+            rate = self.sample_rates.get(task, 0)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigError("sample_rates", f"{task} needs a positive finite sample rate")
         try:
             stft = StftParams(self.stft_window, self.stft_hop)
         except ValueError as exc:
@@ -198,19 +192,7 @@ class CorpusSpec:
             raise ConfigError("image_size", str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return {
-            "global_seed": self.global_seed,
-            "counts": {t: list(c) for t, c in self.counts.items()},
-            "snr_grids": {t: list(g) for t, g in self.snr_grids.items()},
-            "sample_rates": dict(self.sample_rates),
-            "bench_fraction": self.bench_fraction,
-            "split_salt": self.split_salt,
-            "per_bin_min": self.per_bin_min,
-            "image_size": self.image_size,
-            "stft_window": self.stft_window,
-            "stft_hop": self.stft_hop,
-            "ei_device_count": self.ei_device_count,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
@@ -218,13 +200,13 @@ class CorpusSpec:
             if key not in _FIELD_READERS:
                 raise ConfigError(key, "unknown config field")
         merged = cls.default_desk().to_dict() | data
-        fields = {}
+        values = {}
         for name, read in _FIELD_READERS.items():
             try:
-                fields[name] = read(merged[name])
+                values[name] = read(merged[name])
             except (TypeError, ValueError, AttributeError) as exc:
                 raise ConfigError(name, f"cannot read {merged[name]!r} ({exc})") from exc
-        return cls(**fields)
+        return cls(**values)
 
 
 # Config field -> reader from its JSON value. counts replaces the whole
@@ -247,22 +229,6 @@ _FIELD_READERS = {
 }
 
 
-MANIFEST_FIELDS = (
-    "sample_id",
-    "task",
-    "format",
-    "view_paths",
-    "question",
-    "options",
-    "answer",
-    "tag",
-    "snr_db",
-    "ground_truth",
-    "split",
-    "content_hash",
-)
-
-
 @dataclass
 class ManifestRecord:
     sample_id: str
@@ -279,6 +245,9 @@ class ManifestRecord:
     content_hash: str
 
     def __post_init__(self):
+        self.view_paths = tuple(self.view_paths)
+        if self.options is not None:
+            self.options = tuple(self.options)
         if self.task not in TASK_TAGS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.format not in ("MCQA", "OpenQA"):
@@ -303,44 +272,27 @@ class ManifestRecord:
                 rf"<{self.tag}>.+</{self.tag}>", self.answer, re.DOTALL
             ):
                 raise ValueError("tagged OpenQA answers must be tag-wrapped")
+        if not isinstance(self.ground_truth, dict):
+            raise ValueError("ground_truth must be an object")
+        if self.task == "SPE" and not all(
+            isinstance(self.ground_truth.get(key), (int, float)) for key in ("value", "tolerance")
+        ):
+            raise ValueError("SPE ground_truth needs a numeric 'value' and 'tolerance'")
         if self.split not in ("train", "bench"):
             raise ValueError("split must be 'train' or 'bench'")
 
     def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "task": self.task,
-            "format": self.format,
-            "view_paths": list(self.view_paths),
-            "question": self.question,
-            "options": None if self.options is None else list(self.options),
-            "answer": self.answer,
-            "tag": self.tag,
-            "snr_db": self.snr_db,
-            "ground_truth": self.ground_truth,
-            "split": self.split,
-            "content_hash": self.content_hash,
-        }
+        return {name: getattr(self, name) for name in MANIFEST_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ManifestRecord":
         missing = [k for k in MANIFEST_FIELDS if k not in data]
         if missing:
             raise ValueError(f"missing fields: {', '.join(missing)}")
-        return cls(
-            sample_id=data["sample_id"],
-            task=data["task"],
-            format=data["format"],
-            view_paths=tuple(data["view_paths"]),
-            question=data["question"],
-            options=None if data["options"] is None else tuple(data["options"]),
-            answer=data["answer"],
-            tag=data["tag"],
-            snr_db=data["snr_db"],
-            ground_truth=data["ground_truth"],
-            split=data["split"],
-            content_hash=data["content_hash"],
-        )
+        return cls(*map(data.__getitem__, MANIFEST_FIELDS))
+
+
+MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestRecord))
 
 
 def assign_split(sample_id: str, salt: str, bench_fraction: float) -> str:
@@ -531,15 +483,6 @@ def _task_jobs(task: str, spec: CorpusSpec):
     return [(task, i, fmt, ei_plan) for i, fmt in enumerate(formats)]
 
 
-def build_task(task: str, spec: CorpusSpec, out_dir=None, render: bool = True):
-    """All records of one task family, sorted by sample_id."""
-    spec.validate()
-    if out_dir is not None:
-        os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-    records = _build_records(_task_jobs(task, spec), spec, out_dir, render)
-    return sorted(records, key=lambda r: r.sample_id)
-
-
 def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool = True):
     """Build every task, stratify the bench, and write the two manifests.
 
@@ -608,23 +551,28 @@ def build_summary(train, bench) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def write_manifest(records, path, append: bool = False) -> None:
+def write_manifest(records, path) -> None:
     """Line-delimited JSON records, sorted by sample_id for stable diffs."""
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in sorted(records, key=lambda r: r.sample_id):
             fh.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False))
             fh.write("\n")
 
 
 def read_manifest(path) -> list[ManifestRecord]:
+    """The records of a manifest; a malformed line or a repeated sample_id raises ValueError."""
     records = []
+    seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                records.append(ManifestRecord.from_dict(json.loads(line)))
+                record = ManifestRecord.from_dict(json.loads(line))
             except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed manifest line ({exc})") from exc
+            if record.sample_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate sample_id {record.sample_id!r}")
+            seen.add(record.sample_id)
+            records.append(record)
     return records

@@ -19,11 +19,6 @@ OPTION_LETTERS = ("A", "B", "C", "D", "E")
 MAX_DISTRACTOR_ATTEMPTS = 200
 
 
-class QaFormat(str, Enum):
-    OPENQA = "OpenQA"
-    MCQA = "MCQA"
-
-
 class TagKind(str, Enum):
     ANSWER = "answer"
     MODE = "mode"

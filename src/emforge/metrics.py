@@ -31,7 +31,7 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 
 from .instrgen import TASK_TAGS, TagKind
@@ -338,18 +338,16 @@ class Outcome:
     text_scores: tuple | None = None
 
     def to_row(self) -> dict:
-        row = {
-            "sample_id": self.sample_id,
-            "task": self.task,
-            "format": self.format,
-            "snr_db": self.snr_db,
-            "parseable": self.parseable,
-        }
+        row = {name: getattr(self, name) for name in _OUTCOME_KEYS}
         if self.text_scores is None:
             row["correct"] = self.correct
         else:
             row.update(zip(TEXT_METRICS, self.text_scores))
         return row
+
+
+# The row keys every outcome carries; `correct` or the text metrics follow.
+_OUTCOME_KEYS = tuple(f.name for f in fields(Outcome) if f.name not in ("correct", "text_scores"))
 
 
 @dataclass
@@ -363,23 +361,14 @@ class ScoreReport:
     outcomes: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "per_task": self.per_task,
-            "ajsd": self.ajsd,
-            "snr_tables": self.snr_tables,
-            "unparseable": self.unparseable,
-            "total": self.total,
-        }
+        return {name: getattr(self, name) for name in _REPORT_KEYS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreReport":
-        return cls(
-            per_task=data.get("per_task", {}),
-            ajsd=data.get("ajsd"),
-            snr_tables=data.get("snr_tables", {}),
-            unparseable=data.get("unparseable", 0),
-            total=data.get("total", 0),
-        )
+        return cls(**{name: data[name] for name in _REPORT_KEYS if name in data})
+
+
+_REPORT_KEYS = tuple(f.name for f in fields(ScoreReport) if f.name != "outcomes")
 
 
 def load_predictions(path) -> dict:
@@ -461,12 +450,13 @@ def score_predictions(records, predictions: dict) -> ScoreReport:
     """Fold a {sample_id: text} prediction map against manifest records.
 
     One pass makes an outcome per record, in manifest order; every
-    number of the report is a fold over that list.
+    number of the report is a fold over that list. A prediction for a
+    sample_id the records lack raises ValueError.
     """
     known = {r.sample_id for r in records}
     for sample_id in predictions:
         if sample_id not in known:
-            raise KeyError(f"prediction for unknown sample_id {sample_id!r}")
+            raise ValueError(f"prediction for unknown sample_id {sample_id!r}")
 
     ajsd_records = [r for r in records if r.task == "AJSD"]
     text_scores = _ajsd_text_scores(ajsd_records, predictions)

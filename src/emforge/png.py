@@ -8,7 +8,8 @@ those rows and assembles the chunks. zlib releases the GIL while it
 compresses, so the second step can run on another thread; deflate
 output depends only on the input bytes and the level, so which thread
 runs it cannot change a byte. `encode_png` is the two steps in a row.
-The decoder handles the five standard scanline filters.
+The decoder reads only what the encoder writes: 8-bit RGB, non-interlaced,
+filter 0 on every row; any other filter byte is a ValueError.
 """
 
 from __future__ import annotations
@@ -56,42 +57,8 @@ def encode_png(pixels: np.ndarray) -> bytes:
     return deflate_scanlines(scanlines(pixels))
 
 
-def _unfilter(raw: np.ndarray, h: int, w: int) -> np.ndarray:
-    bpp = 3
-    stride = w * bpp
-    out = np.zeros((h, stride), dtype=np.uint8)
-    rows = raw.reshape(h, 1 + stride)
-    for y in range(h):
-        ftype = rows[y, 0]
-        line = rows[y, 1:].astype(np.int32)
-        prev = out[y - 1].astype(np.int32) if y > 0 else np.zeros(stride, dtype=np.int32)
-        if ftype == 0:
-            out[y] = line
-        elif ftype == 2:
-            out[y] = (line + prev) & 0xFF
-        elif ftype in (1, 3, 4):
-            cur = np.zeros(stride, dtype=np.int32)
-            for x in range(stride):
-                a = cur[x - bpp] if x >= bpp else 0
-                b = prev[x]
-                c = prev[x - bpp] if x >= bpp else 0
-                if ftype == 1:
-                    cur[x] = (line[x] + a) & 0xFF
-                elif ftype == 3:
-                    cur[x] = (line[x] + (a + b) // 2) & 0xFF
-                else:
-                    p = a + b - c
-                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                    cur[x] = (line[x] + pred) & 0xFF
-            out[y] = cur
-        else:
-            raise ValueError(f"unsupported PNG filter type {ftype}")
-    return out.reshape(h, w, bpp)
-
-
 def decode_png(data: bytes) -> np.ndarray:
-    """Decode an 8-bit RGB non-interlaced PNG into an (H, W, 3) uint8 array."""
+    """Decode an 8-bit RGB non-interlaced filter-0 PNG into a read-only (H, W, 3) uint8 array."""
     if data[:8] != _SIGNATURE:
         raise ValueError("not a PNG byte stream")
     pos = 8
@@ -115,4 +82,11 @@ def decode_png(data: bytes) -> np.ndarray:
     raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
     if raw.size != height * (1 + width * 3):
         raise ValueError("PNG payload size mismatch")
-    return _unfilter(raw, height, width)
+    rows = raw.reshape(height, 1 + width * 3)
+    filtered = np.flatnonzero(rows[:, 0])
+    if filtered.size:
+        y = filtered[0]
+        raise ValueError(
+            f"unsupported PNG filter type {rows[y, 0]} on row {y}; only filter 0 is read"
+        )
+    return rows[:, 1:].reshape(height, width, 3)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ class IqSignal:
 
     samples: np.ndarray
     sample_rate_hz: float
-    label: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
@@ -38,8 +37,8 @@ class IqSignal:
         return self.samples.size / self.sample_rate_hz
 
     def with_samples(self, samples: np.ndarray) -> "IqSignal":
-        """Same sample rate and label, new sample data."""
-        return IqSignal(samples, self.sample_rate_hz, dict(self.label))
+        """Same sample rate, new sample data."""
+        return IqSignal(samples, self.sample_rate_hz)
 
 
 def signal_power(x) -> float:

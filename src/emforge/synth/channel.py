@@ -17,7 +17,7 @@ def gen_noise(n_samples: int, sample_rate_hz: float, seed: int) -> IqSignal:
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
-    return IqSignal(complex_gaussian(int(n_samples), rng), sample_rate_hz, {"kind": "noise"})
+    return IqSignal(complex_gaussian(int(n_samples), rng), sample_rate_hz)
 
 
 def apply_awgn(signal: IqSignal, snr_db: float, seed: int) -> IqSignal:

@@ -66,6 +66,4 @@ def apply_device_profile(signal: IqSignal, profile: DeviceProfile, seed: int) ->
     walk = np.cumsum(rng.normal(0.0, profile.phase_noise_std_rad, len(signal)))
     x = x * np.exp(1j * walk)
 
-    label = dict(signal.label)
-    label["device_id"] = profile.device_id
-    return IqSignal(x, fs, label)
+    return IqSignal(x, fs)

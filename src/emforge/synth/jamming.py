@@ -104,8 +104,8 @@ def gen_jamming_scene(
 ) -> tuple[IqSignal, dict]:
     """Background plus jammers at their relative powers, with ground truth.
 
-    Jammer powers are relative to the measured background power. The label
-    dict records the scene structure for instruction generation.
+    Jammer powers are relative to the measured background power. The
+    returned dict records the scene structure for instruction generation.
     """
     if duration_us <= 0:
         raise ValueError("duration_us must be positive")
@@ -133,4 +133,4 @@ def gen_jamming_scene(
             for j in scene.jammers
         ],
     }
-    return IqSignal(x, sample_rate_hz, {"scene": labels}), labels
+    return IqSignal(x, sample_rate_hz), labels

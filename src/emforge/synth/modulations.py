@@ -248,4 +248,4 @@ def modulate(
     if power == 0.0:
         raise ValueError("modulation produced a zero-power signal")
     x /= np.sqrt(power)
-    return IqSignal(x, sample_rate_hz, {"modulation": kind.value})
+    return IqSignal(x, sample_rate_hz)

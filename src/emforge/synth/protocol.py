@@ -110,4 +110,4 @@ def gen_protocol_burst(
 
     if not np.any(x):
         raise ValueError("duration too short for a single burst sample")
-    return IqSignal(x, sample_rate_hz, {"protocol_class": spec.protocol_class})
+    return IqSignal(x, sample_rate_hz)

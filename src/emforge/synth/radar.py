@@ -113,4 +113,4 @@ def gen_radar_pulse_train(
         stop = min(stop, n)
         if stop > start:
             x[start:stop] = _fill(spec.intra_pulse, stop - start, spec.pulse_width_us, sample_rate_hz)
-    return IqSignal(x, sample_rate_hz, {"radar_spec": spec})
+    return IqSignal(x, sample_rate_hz)

@@ -77,9 +77,6 @@ class RasterImage:
         if self.pixels.dtype != np.uint8:
             raise ValueError("pixels must be uint8")
 
-    def tobytes(self) -> bytes:
-        return self.pixels.tobytes()
-
 
 @dataclass(frozen=True)
 class RenderParams:

@@ -48,6 +48,19 @@ MANIFEST_RECORD = {
     "content_hash": "0" * 64,
 }
 
+# An SPE OpenQA record whose ground truth lacks the value its scoring reads.
+SPE_RECORD = {
+    **MANIFEST_RECORD,
+    "sample_id": "spe-00000",
+    "task": "SPE",
+    "format": "OpenQA",
+    "question": "What is the pulse width?",
+    "options": None,
+    "answer": "<value>2.5</value>",
+    "tag": "value",
+    "ground_truth": {},
+}
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -116,6 +129,9 @@ class TestBuild:
             ({"counts": {"MR": ["a", 3]}}, "counts"),
             ({"counts": {"MR": [0, 2]}, "stft_window": 2048}, "stft_window"),
             ({"counts": {"MR": [0, 2, 5]}}, "counts"),
+            ({"counts": {"MR": [0, 40]}, "sample_rates": {"MR": float("nan")}}, "sample_rates"),
+            ({"counts": {"MR": [0, 40]}, "sample_rates": {"MR": float("inf")}}, "sample_rates"),
+            ({"counts": {"MR": [0, 40]}, "snr_grids": {"MR": [-20, float("nan"), 0]}}, "snr_grids"),
         ],
     )
     def test_config_error_exit_2_before_writing(self, tmp_path, capsys, overrides, field):
@@ -275,8 +291,13 @@ class TestScore:
             ('{"sample_id": "x"}', "malformed manifest line (missing fields: task, format,"),
             (json.dumps({**MANIFEST_RECORD, "task": "FOO"}), "unknown task 'FOO'"),
             (json.dumps({**MANIFEST_RECORD, "format": "Essay"}), "unknown format 'Essay'"),
+            (json.dumps(MANIFEST_RECORD), "duplicate sample_id 'mr-00000'"),
+            (json.dumps(SPE_RECORD), "SPE ground_truth needs a numeric 'value' and 'tolerance'"),
         ],
-        ids=["bad-json", "missing-fields", "unknown-task", "unknown-format"],
+        ids=[
+            "bad-json", "missing-fields", "unknown-task", "unknown-format", "duplicate-id",
+            "spe-no-value",
+        ],
     )
     def test_malformed_manifest_exit_2(self, tmp_path, capsys, line, message):
         manifest = tmp_path / "manifest.jsonl"

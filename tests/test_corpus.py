@@ -1,7 +1,10 @@
-"""Counts, splits, stratification, builders' label plumbing, manifest I/O."""
+"""Counts, splits, stratification, builders' label plumbing, manifest I/O, schemas."""
 
+import dataclasses
 import json
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from emforge.corpus import (
     BENCH_COMPOSITION_TOTAL,
     assign_split,
     build_corpus,
-    build_task,
     desk_scale_counts,
     gold_prediction,
     read_manifest,
@@ -37,6 +39,14 @@ SMALL_GRIDS = {
 
 def _small_spec(**overrides):
     return CorpusSpec.default_desk(per_task=12, snr_grids=dict(SMALL_GRIDS), **overrides)
+
+
+def _task_records(task, openqa, mcqa):
+    """The records of a plan build of one task, sorted by sample_id, with no SNR promotion."""
+    spec = _small_spec(per_bin_min=0)
+    spec.counts = {task: (openqa, mcqa)}
+    train, bench = build_corpus(spec, render=False)
+    return sorted(train + bench, key=lambda r: r.sample_id)
 
 
 def _oracle_largest_remainder(total):
@@ -120,17 +130,13 @@ class TestAssignSplit:
 
 class TestBuildTask:
     def test_mr_count_contract(self):
-        spec = _small_spec()
-        spec.counts = {"MR": (0, 22)}
-        records = build_task("MR", spec, render=False)
+        records = _task_records("MR", 0, 22)
         assert len(records) == 22
         assert all(r.format == "MCQA" and len(r.options) == 5 for r in records)
         assert all("Unable to answer" in r.options for r in records)
 
     def test_ssd_covers_all_three_classes(self):
-        spec = _small_spec()
-        spec.counts = {"SSD": (9, 0)}
-        records = build_task("SSD", spec, render=False)
+        records = _task_records("SSD", 9, 0)
         assert {r.ground_truth["segment_class"] for r in records} == {
             "radar",
             "communication",
@@ -138,27 +144,21 @@ class TestBuildTask:
         }
 
     def test_ssd_noise_records_unlabeled(self):
-        spec = _small_spec()
-        spec.counts = {"SSD": (9, 0)}
-        for r in build_task("SSD", spec, render=False):
+        for r in _task_records("SSD", 9, 0):
             if r.ground_truth["segment_class"] == "noise":
                 assert r.snr_db is None
             else:
                 assert r.snr_db in SMALL_GRIDS["SSD"]
 
     def test_spe_answer_equals_synthesis_parameter(self):
-        spec = _small_spec()
-        spec.counts = {"SPE": (8, 0)}
-        for r in build_task("SPE", spec, render=False):
+        for r in _task_records("SPE", 8, 0):
             gt = r.ground_truth
             assert gt["value"] == gt["pulse_spec"][gt["parameter"]]
             payload = r.answer.removeprefix("<value>").removesuffix("</value>")
             assert float(payload) == gt["value"]
 
     def test_ei_unlabeled_and_long_tailed(self):
-        spec = _small_spec()
-        spec.counts = {"EI": (0, 36)}
-        records = build_task("EI", spec, render=False)
+        records = _task_records("EI", 0, 36)
         assert all(r.snr_db is None for r in records)
         counts = {}
         for r in records:
@@ -167,9 +167,7 @@ class TestBuildTask:
         assert sizes[0] > sizes[-1]  # long tail
 
     def test_ajsd_reference_matches_scene(self):
-        spec = _small_spec()
-        spec.counts = {"AJSD": (8, 0)}
-        records = build_task("AJSD", spec, render=False)
+        records = _task_records("AJSD", 8, 0)
         noise_only = [r for r in records if r.ground_truth["noise_only"]]
         jammed = [r for r in records if not r.ground_truth["noise_only"]]
         assert noise_only and jammed
@@ -335,9 +333,7 @@ class TestConfigValidation:
 
 class TestManifestIo:
     def _records(self):
-        spec = _small_spec()
-        spec.counts = {"MR": (0, 6)}
-        return build_task("MR", spec, render=False)
+        return _task_records("MR", 0, 6)
 
     def test_roundtrip(self, tmp_path):
         records = self._records()
@@ -346,14 +342,6 @@ class TestManifestIo:
         back = read_manifest(path)
         assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
         assert len(path.read_text().splitlines()) == len(records)
-
-    def test_append_preserves_prefix_bytes(self, tmp_path):
-        records = self._records()
-        path = tmp_path / "manifest.jsonl"
-        write_manifest(records[:3], path)
-        before = path.read_bytes()
-        write_manifest(records[3:], path, append=True)
-        assert path.read_bytes()[: len(before)] == before
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
@@ -375,7 +363,18 @@ class TestManifestIo:
         records = self._records()
         mcqa = records[0]
         assert gold_prediction(mcqa) == f"<answer>{mcqa.answer}</answer>"
-        spec = _small_spec()
-        spec.counts = {"SPE": (2, 0)}
-        openqa = build_task("SPE", spec, render=False)[0]
+        openqa = _task_records("SPE", 2, 0)[0]
         assert gold_prediction(openqa) == openqa.answer
+
+
+class TestSchemas:
+    """Each field list outside a dataclass matches the dataclass's fields."""
+
+    def test_manifest_doc_table_lists_record_fields(self):
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "manifest_schema.md").read_text("utf-8")
+        table = doc.split("## Manifest records", 1)[1].split("###", 1)[0]
+        names = re.findall(r"^\| `(\w+)`", table, re.MULTILINE)
+        assert names == [f.name for f in dataclasses.fields(ManifestRecord)]
+
+    def test_config_readers_cover_spec_fields(self):
+        assert list(corpus._FIELD_READERS) == [f.name for f in dataclasses.fields(CorpusSpec)]

@@ -438,7 +438,7 @@ class TestAccuracy:
 
     def test_unknown_id_rejected(self):
         record = _record("mr-00000", "MR", "MCQA", "A", options=_OPTS)
-        with pytest.raises(KeyError, match="ghost"):
+        with pytest.raises(ValueError, match="ghost"):
             score_predictions([record], {"ghost": "<answer>A</answer>"})
 
 

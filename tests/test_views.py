@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emforge import png
 from emforge.signal import IqSignal
 from emforge.synth import (
     Cw,
@@ -204,6 +205,13 @@ class TestPng:
         back = decode_png(encode_png(img))
         assert (back.width, back.height) == (384, 384)
         assert np.all(back.pixels == 0)
+
+    def test_nonzero_filter_byte_rejected(self):
+        # The encoder writes filter 0 only, so the decoder reads nothing else.
+        rows = png.scanlines(np.arange(4 * 5 * 3, dtype=np.uint8).reshape(4, 5, 3))
+        rows[2, 0] = 1  # filter 1 (Sub) on one row
+        with pytest.raises(ValueError, match="filter type 1 on row 2"):
+            png.decode_png(png.deflate_scanlines(rows))
 
     def test_pillow_cross_decode(self):
         # Independent decoder oracle.
