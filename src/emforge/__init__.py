@@ -41,6 +41,6 @@ from .metrics import (
     snr_binned_report,
 )
 from .signal import IqSignal, measure_snr, signal_power
-from .views import RasterImage, RenderParams, StftParams, ViewKind, fft_magnitude, render_view, stft
+from .views import RenderParams, StftParams, ViewKind, fft_magnitude, render_view, stft
 
 __version__ = "0.1.0"

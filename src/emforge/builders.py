@@ -114,18 +114,6 @@ def make_device_profiles(count: int) -> tuple[DeviceProfile, ...]:
     return tuple(profiles)
 
 
-def device_record_counts(total: int, n_devices: int, decay: float = 0.75) -> list[int]:
-    """Long-tailed per-device record counts (geometric decay, sums to total)."""
-    weights = np.array([decay**k for k in range(n_devices)])
-    quotas = total * weights / weights.sum()
-    counts = np.floor(quotas).astype(int)
-    remainder = total - counts.sum()
-    order = np.argsort(-(quotas - counts), kind="stable")
-    for idx in order[:remainder]:
-        counts[idx] += 1
-    return counts.tolist()
-
-
 @dataclass
 class RecordDraft:
     signal: IqSignal
@@ -142,6 +130,27 @@ def _seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**62))
 
 
+def record_snr(task: str, index: int, grid) -> float | None:
+    """The SNR of record `index` of a task with an SNR grid.
+
+    Records cycle through the grid in index order; SSD's noise segments
+    (every third index) carry no SNR and do not advance the cycle.
+    """
+    if task == "SSD":
+        if SSD_CLASSES[index % 3] == "noise":
+            return None
+        index -= index // 3
+    return grid[index % len(grid)]
+
+
+def modulated_payload(kind: ModulationKind, n_samples: int, sps: int, fs: float, rng) -> IqSignal:
+    """`n_samples` of `kind`: analog kinds from a message seed, digital ones from random bits."""
+    if kind in ANALOG_KINDS:
+        return modulate(kind, _seed(rng), sps, fs, n_samples=n_samples)
+    n_bits = (n_samples // sps) * BITS_PER_SYMBOL[kind]
+    return modulate(kind, rng.integers(0, 2, n_bits), sps, fs)
+
+
 def _categorical_qa(task, gt, universe, fmt, rng, **fmt_args):
     if fmt == "MCQA":
         options = make_mcqa_categorical(gt, universe, seed=_seed(rng))
@@ -154,15 +163,12 @@ def _categorical_qa(task, gt, universe, fmt, rng, **fmt_args):
 def _draft_ssd(index, fmt, spec, rng):
     fs = spec.sample_rates["SSD"]
     duration_us = SEGMENT_SAMPLES / fs * 1e6
-    grid = spec.snr_grids["SSD"]
     cls = SSD_CLASSES[index % 3]
-    snr = None
+    snr = record_snr("SSD", index, spec.snr_grids["SSD"])
     stride = 4
     if cls == "noise":
         sig = gen_noise(SEGMENT_SAMPLES, fs, _seed(rng))
     else:
-        labeled_idx = index - index // 3
-        snr = grid[labeled_idx % len(grid)]
         if cls == "radar":
             pw = float(rng.choice(np.arange(2.0, 10.5, 0.5)))
             period = float(rng.choice(np.arange(15.0, 41.0, 1.0)))
@@ -175,8 +181,7 @@ def _draft_ssd(index, fmt, spec, rng):
             )
         else:
             kind = SSD_COMM_KINDS[int(rng.integers(len(SSD_COMM_KINDS)))]
-            n_bits = (SEGMENT_SAMPLES // SSD_COMM_SPS) * BITS_PER_SYMBOL[kind]
-            clean = modulate(kind, rng.integers(0, 2, n_bits), SSD_COMM_SPS, fs)
+            clean = modulated_payload(kind, SEGMENT_SAMPLES, SSD_COMM_SPS, fs, rng)
             stride = SSD_COMM_SPS
         sig = apply_awgn(clean, snr, _seed(rng))
     question, options, answer = _categorical_qa("SSD", cls, SSD_OPTION_UNIVERSE, fmt, rng)
@@ -189,8 +194,7 @@ def _draft_ssd(index, fmt, spec, rng):
 def _draft_spe(index, fmt, spec, rng):
     fs = spec.sample_rates["SPE"]
     duration_us = SEGMENT_SAMPLES / fs * 1e6
-    grid = spec.snr_grids["SPE"]
-    snr = grid[index % len(grid)]
+    snr = record_snr("SPE", index, spec.snr_grids["SPE"])
 
     pw = float(rng.choice(np.arange(1.0, 8.5, 0.5)))
     period = float(rng.choice(np.arange(10.0, 41.0, 1.0)))
@@ -232,14 +236,9 @@ def _draft_spe(index, fmt, spec, rng):
 
 def _draft_mr(index, fmt, spec, rng):
     fs = spec.sample_rates["MR"]
-    grid = spec.snr_grids["MR"]
-    snr = grid[index % len(grid)]
+    snr = record_snr("MR", index, spec.snr_grids["MR"])
     kind = MR_KINDS[index % len(MR_KINDS)]
-    if kind in ANALOG_KINDS:
-        clean = modulate(kind, _seed(rng), MR_SPS, fs, n_samples=MR_SAMPLES)
-    else:
-        n_bits = (MR_SAMPLES // MR_SPS) * BITS_PER_SYMBOL[kind]
-        clean = modulate(kind, rng.integers(0, 2, n_bits), MR_SPS, fs)
+    clean = modulated_payload(kind, MR_SAMPLES, MR_SPS, fs, rng)
     sig = apply_awgn(clean, snr, _seed(rng))
     universe = [k.value for k in MR_KINDS]
     question, options, answer = _categorical_qa("MR", kind.value, universe, fmt, rng)
@@ -251,8 +250,7 @@ def _draft_mr(index, fmt, spec, rng):
 def _draft_pr(index, fmt, spec, rng):
     fs = spec.sample_rates["PR"]
     duration_us = SEGMENT_SAMPLES / fs * 1e6
-    grid = spec.snr_grids["PR"]
-    snr = grid[index % len(grid)]
+    snr = record_snr("PR", index, spec.snr_grids["PR"])
     cls = PROTOCOL_CLASSES[index % len(PROTOCOL_CLASSES)]
     burst = gen_protocol_burst(default_burst_spec(cls), duration_us, fs, seed=_seed(rng))
     sig = apply_awgn(burst, snr, _seed(rng))
@@ -265,8 +263,7 @@ def _draft_pr(index, fmt, spec, rng):
 def _draft_ei(index, fmt, spec, rng, device_sequence, profiles):
     fs = spec.sample_rates["EI"]
     profile = profiles[device_sequence[index]]
-    n_bits = (SEGMENT_SAMPLES // EI_SPS) * 2  # QPSK carrier burst
-    clean = modulate(ModulationKind.QPSK, rng.integers(0, 2, n_bits), EI_SPS, fs)
+    clean = modulated_payload(ModulationKind.QPSK, SEGMENT_SAMPLES, EI_SPS, fs, rng)
     marked = apply_device_profile(clean, profile, _seed(rng))
     # Real captures carry no SNR annotation; the noise draw stays unrecorded.
     internal_snr = float(rng.choice(np.arange(6.0, 19.0, 2.0)))

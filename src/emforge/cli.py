@@ -16,20 +16,19 @@ import numpy as np
 
 from . import budget as budget_mod
 from . import metrics
+from .builders import modulated_payload
 from .corpus import ConfigError, CorpusSpec, build_corpus, build_summary, read_manifest
+from .png import encode_png
 from .signal import IqSignal
 from .synth import (
-    ANALOG_KINDS,
-    BITS_PER_SYMBOL,
     Cw,
     ModulationKind,
     RadarPulseSpec,
     apply_awgn,
     gen_noise,
     gen_radar_pulse_train,
-    modulate,
 )
-from .views import RenderParams, VIEW_ORDER, encode_png, render_view
+from .views import RenderParams, VIEW_ORDER, render_view
 
 ENV_OUT_DIR = "EMFORGE_OUT"
 
@@ -83,12 +82,7 @@ def _render_signal(args) -> IqSignal:
     if args.kind == "radar":
         sig = gen_radar_pulse_train(RadarPulseSpec(4.0, 20.0, 4, 10.0, Cw()), 409.6, fs)
     else:
-        kind = ModulationKind(args.kind)
-        if kind in ANALOG_KINDS:
-            sig = modulate(kind, int(rng.integers(2**62)), 8, 1e6, n_samples=4096)
-        else:
-            n_bits = (4096 // 8) * BITS_PER_SYMBOL[kind]
-            sig = modulate(kind, rng.integers(0, 2, n_bits), 8, 1e6)
+        sig = modulated_payload(ModulationKind(args.kind), 4096, 8, 1e6, rng)
     if args.snr is not None:
         sig = apply_awgn(sig, args.snr, int(rng.integers(2**62)))
     return sig
@@ -135,12 +129,18 @@ def cmd_score(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        report = metrics.ScoreReport.from_dict(json.load(fh))
-    print(metrics.format_report_table(report))
+    # Formatting reads nested fields, so a mistyped one surfaces there.
+    try:
+        with open(args.report, encoding="utf-8") as fh:
+            report = metrics.ScoreReport.from_dict(json.load(fh))
+        table = metrics.format_report_table(report)
+        csv_text = metrics.snr_tables_csv(report) if args.csv else None
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError("report", f"{args.report}: malformed report ({exc})") from exc
+    print(table)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(metrics.snr_tables_csv(report))
+            fh.write(csv_text)
     return 0
 
 

@@ -14,18 +14,21 @@ import json
 import math
 import os
 import re
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
+
+import numpy as np
 
 from . import builders, png
 from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER
 
 # perfbench's tracer patches builders.draft_record and, here, _build_one, render_view,
 # encode_png, assign_split, stratified_bench and write_manifest by name: keep them.
-from .views import RenderParams, StftParams, VIEW_ORDER, encode_png, render_view  # noqa: F401
+from .png import encode_png  # noqa: F401
+from .views import RenderParams, StftParams, VIEW_ORDER, render_view
 
 
 # Per-task (OpenQA, MCQA) bench counts; the cell order fixes largest-
@@ -90,6 +93,12 @@ def _largest_remainder(quotas: list[float], total: int) -> list[int]:
     for i in order[:remainder]:
         floors[i] += 1
     return floors
+
+
+def _ei_device_counts(total: int, n_devices: int) -> list[int]:
+    """Long-tailed per-device EI record counts: geometric decay 0.75 per device, sums to total."""
+    weights = np.array([0.75**k for k in range(n_devices)])
+    return _largest_remainder((total * weights / weights.sum()).tolist(), total)
 
 
 def desk_scale_counts(total: int) -> dict[str, tuple[int, int]]:
@@ -190,6 +199,19 @@ class CorpusSpec:
             RenderParams(size=self.image_size, stft=stft)
         except ValueError as exc:
             raise ConfigError("image_size", str(exc)) from exc
+        # Stratification needs per_bin_min records in every SNR bin of a built task.
+        for task, grid in self.snr_grids.items():
+            n = sum(int(c) for c in self.counts.get(task, (0, 0)))
+            if not (n and self.per_bin_min):
+                continue
+            held = Counter(builders.record_snr(task, i, grid) for i in range(n))
+            for snr in grid:
+                if held[snr] < self.per_bin_min:
+                    raise ConfigError(
+                        "per_bin_min",
+                        f"{task} SNR bin {snr:g} dB would hold {held[snr]} of {n} {task} "
+                        f"records, fewer than per_bin_min={self.per_bin_min}",
+                    )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -245,6 +267,18 @@ class ManifestRecord:
     content_hash: str
 
     def __post_init__(self):
+        for name in ("sample_id", "question", "answer", "content_hash"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        snr = self.snr_db
+        if snr is not None and not (
+            isinstance(snr, (int, float)) and not isinstance(snr, bool) and math.isfinite(snr)
+        ):
+            raise ValueError("snr_db must be a finite number or null")
+        if not _is_str_list(self.view_paths) or len(self.view_paths) != 4:
+            raise ValueError("view_paths must list exactly 4 view paths")
+        if self.options is not None and not _is_str_list(self.options):
+            raise ValueError("options must be null or a list of strings")
         self.view_paths = tuple(self.view_paths)
         if self.options is not None:
             self.options = tuple(self.options)
@@ -252,8 +286,6 @@ class ManifestRecord:
             raise ValueError(f"unknown task {self.task!r}")
         if self.format not in ("MCQA", "OpenQA"):
             raise ValueError(f"unknown format {self.format!r}")
-        if len(self.view_paths) != 4:
-            raise ValueError("records reference exactly 4 views")
         if self.format == "MCQA":
             if self.options is None or len(self.options) != 5:
                 raise ValueError("MCQA records carry exactly 5 options")
@@ -293,6 +325,10 @@ class ManifestRecord:
 
 
 MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestRecord))
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 def assign_split(sample_id: str, salt: str, bench_fraction: float) -> str:
@@ -460,7 +496,7 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
                 pending.append((args, futures))
                 params = _render_params(spec, draft.constellation_stride)
                 for kind in VIEW_ORDER:
-                    rows = png.scanlines(render_view(draft.signal, kind, params).pixels)
+                    rows = png.scanlines(render_view(draft.signal, kind, params))
                     settle(_QUEUED_VIEWS)
                     futures.append(encoder.submit(png.deflate_scanlines, rows))
         settle(0)
@@ -477,7 +513,7 @@ def _task_jobs(task: str, spec: CorpusSpec):
     if task == "EI" and formats:
         profiles = builders.make_device_profiles(spec.ei_device_count)
         sequence = []
-        for dev, n in enumerate(builders.device_record_counts(len(formats), len(profiles))):
+        for dev, n in enumerate(_ei_device_counts(len(formats), len(profiles))):
             sequence.extend([dev] * n)
         ei_plan = (tuple(sequence), profiles)
     return [(task, i, fmt, ei_plan) for i, fmt in enumerate(formats)]

@@ -10,29 +10,31 @@ Unparseable or missing predictions count as incorrect.
 
 Scoring a bench makes one outcome per record, in manifest order; the
 per-task accuracies, the unparseable count and the SNR tables are folds
-over that list, so each prediction is checked once. AJSD free text is
-scored in two streaming passes. The first tokenises every reference once,
-interning tokens to ints, and counts CIDEr's document frequencies. The
-second takes one item at a time: it tokenises the candidate once, counts
-the 1-4-grams of candidate and reference once each, and feeds all four
-metrics from those tokens and counts. No n-gram counter outlives its
-item, so memory does not grow with the bench. ROUGE-L's LCS length is
-bit-parallel over Python ints (Allison & Dix 1986; Hyyrö 2004); METEOR
-looks each token, then each stem, up in a map to its unused reference
-positions. The public `bleu4`, `rouge_l`, `meteor` and `cider` run the
-same token-level kernels. Every per-item formula keeps one order of
-operations and corpus means are sums of per-item lists in record order,
-so a score does not depend on which path computed it.
+over that list, so each prediction is checked once.
+
+Free text has one scoring path, `_text_scores`, with exactly one
+reference per item. It streams in two passes. The first tokenises every
+reference once, interning tokens to ints, and counts CIDEr's document
+frequencies. The second takes one item at a time: it tokenises the
+candidate once, counts the 1-4-grams of candidate and reference once
+each, and feeds all four metrics from those tokens and counts. No n-gram
+counter outlives its item, so memory does not grow with the bench.
+ROUGE-L's LCS length is bit-parallel over Python ints (Allison & Dix
+1986; Hyyrö 2004); METEOR looks each token, then each stem, up in a map
+to its unused reference positions. `score_predictions` and `cider` run
+`_text_scores`; `bleu4`, `rouge_l` and `meteor` run its kernels on one
+pair. Every per-item formula keeps one order of operations and corpus
+means are sums of per-item lists in record order, so a score does not
+depend on which caller computed it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from typing import get_type_hints
 
 from .instrgen import TASK_TAGS, TagKind
 
@@ -41,8 +43,7 @@ ROUGE_BETA = 1.2
 METEOR_ALPHA = 0.9
 METEOR_BETA = 3.0
 METEOR_GAMMA = 0.5
-CIDER_SCALE = 1.0
-CIDER_N_MAX = 4
+NGRAM_ORDER = 4  # BLEU4 and CIDEr both use the 1-4-grams
 
 _TOKEN_RE = re.compile(r"\d+\.\d+|\w+|[^\w\s]")
 _STEM_SUFFIXES = ("ing", "ed", "es", "s")
@@ -60,9 +61,13 @@ def _stem(token: str) -> str:
     return token
 
 
-def _ngram_counts(tokens: list, n_max: int) -> list[Counter]:
-    """Counts of the 1..n_max-grams of `tokens`, keyed by tuple, in first-occurrence order."""
-    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, n_max + 1)]
+def _ngrams(tokens: list, n: int):
+    return zip(*(tokens[k:] for k in range(n)))
+
+
+def _ngram_counts(tokens: list) -> list[Counter]:
+    """Counts of the 1-4-grams of `tokens`, keyed by tuple, in first-occurrence order."""
+    return [Counter(_ngrams(tokens, n)) for n in range(1, NGRAM_ORDER + 1)]
 
 
 class _Vocab:
@@ -83,13 +88,13 @@ class _Vocab:
         return [ids[tok] for tok in tokens]
 
 
-def _bleu4(cand_len: int, cand_grams: list, ref_lens: list[int], clip_grams: list) -> float:
-    """BLEU4 from 1-4-gram counts; `clip_grams` holds each gram's highest reference count."""
-    if not cand_len or not ref_lens:
+def _bleu4(cand_len: int, cand_grams: list, ref_len: int, ref_grams: list) -> float:
+    """BLEU4 from the 1-4-gram counts of a candidate and its reference."""
+    if not cand_len:
         return 0.0
 
     log_sum = 0.0
-    for counts, clip in zip(cand_grams, clip_grams):
+    for counts, clip in zip(cand_grams, ref_grams):
         total = sum(counts.values())
         if total == 0:
             log_sum += math.log(BLEU_EPSILON)
@@ -98,21 +103,14 @@ def _bleu4(cand_len: int, cand_grams: list, ref_lens: list[int], clip_grams: lis
         precision = matched / total
         log_sum += math.log(precision) if precision > 0 else math.log(BLEU_EPSILON)
 
-    c = cand_len
-    r = min((abs(n - c), n) for n in ref_lens)[1]  # closest ref length
-    bp = 1.0 if c > r else math.exp(1 - r / c)
+    bp = 1.0 if cand_len > ref_len else math.exp(1 - ref_len / cand_len)
     return bp * math.exp(log_sum / 4)
 
 
-def bleu4(candidate: str, references: list[str] | str) -> float:
+def bleu4(candidate: str, reference: str) -> float:
     """Geometric mean of clipped 1-4-gram precisions times brevity penalty."""
-    if isinstance(references, str):
-        references = [references]
-    cand = tokenize(candidate)
-    refs = [tokenize(r) for r in references]
-    ref_grams = [_ngram_counts(ref, 4) for ref in refs]
-    clip_grams = [reduce(operator.or_, per_n) for per_n in zip(*ref_grams)]
-    return _bleu4(len(cand), _ngram_counts(cand, 4), [len(ref) for ref in refs], clip_grams)
+    cand, ref = tokenize(candidate), tokenize(reference)
+    return _bleu4(len(cand), _ngram_counts(cand), len(ref), _ngram_counts(ref))
 
 
 def _lcs_len(a: list, b: list) -> int:
@@ -199,15 +197,12 @@ def meteor(candidate: str, reference: str) -> float:
     return _meteor(tokenize(candidate), tokenize(reference))
 
 
-def _idf_tables(ref_sets, n_docs: int, n_max: int) -> list[dict]:
+def _idf_tables(refs: list, n_docs: int) -> list[dict]:
     """Per n, log(N / document frequency) of every reference n-gram (one document per item)."""
-    df = [Counter() for _ in range(n_max)]
-    for refs in ref_sets:
-        for n in range(1, n_max + 1):
-            seen = set()
-            for toks in refs:
-                seen.update(zip(*(toks[k:] for k in range(n))))
-            df[n - 1].update(seen)
+    df = [Counter() for _ in range(NGRAM_ORDER)]
+    for toks in refs:
+        for n, counts in enumerate(df, 1):
+            counts.update(set(_ngrams(toks, n)))
     return [{g: math.log(n_docs / max(c, 1)) for g, c in d.items()} for d in df]
 
 
@@ -224,26 +219,20 @@ def _cosine(u: dict, v: dict) -> float:
     return dot / (nu * nv)
 
 
-def _cider(cand_grams: list, refs_grams: list, idf_by_n: list, n_docs: int, scale: float) -> float:
+def _cider(cand_grams: list, ref_grams: list, idf_by_n: list, n_docs: int) -> float:
     """One item's mean over n of TF-IDF cosines; n-grams absent from every reference get log(N)."""
     default = math.log(n_docs)
-    score_n = []
-    for n, idf in enumerate(idf_by_n):
-        u = _tfidf_vec(cand_grams[n], idf, default)
-        sims = [_cosine(u, _tfidf_vec(grams[n], idf, default)) for grams in refs_grams]
-        score_n.append(sum(sims) / len(sims) if sims else 0.0)
-    return scale * sum(score_n) / len(idf_by_n)
+    score_n = [
+        _cosine(_tfidf_vec(cand, idf, default), _tfidf_vec(ref, idf, default))
+        for cand, ref, idf in zip(cand_grams, ref_grams, idf_by_n)
+    ]
+    return sum(score_n) / len(idf_by_n)
 
 
-def cider(
-    candidates: list[str],
-    references: list[list[str]],
-    n_max: int = CIDER_N_MAX,
-    scale: float = CIDER_SCALE,
-) -> tuple[list[float], float]:
-    """Per-item and corpus-mean TF-IDF n-gram cosine scores.
+def cider(candidates: list[str], references: list[str]) -> tuple[list[float], float]:
+    """Per-item and corpus-mean TF-IDF n-gram cosine scores, one reference per item.
 
-    IDF is computed over the reference sets (one document per item);
+    IDF is computed over the references (one document per item);
     n-grams absent from every reference get the maximum IDF, log(N).
     """
     if len(candidates) != len(references):
@@ -251,47 +240,30 @@ def cider(
     n_docs = len(candidates)
     if n_docs < 2:
         raise ValueError("CIDEr needs a corpus of >= 2 items for meaningful IDF")
-
-    ref_tokens = [[tokenize(r) for r in refs] for refs in references]
-    idf_by_n = _idf_tables(ref_tokens, n_docs, n_max)
-    per_item = [
-        _cider(
-            _ngram_counts(tokenize(cand), n_max),
-            [_ngram_counts(toks, n_max) for toks in refs],
-            idf_by_n,
-            n_docs,
-            scale,
-        )
-        for cand, refs in zip(candidates, ref_tokens)
-    ]
+    per_item = [scores[3] for scores in _text_scores(references, candidates)]
     return per_item, sum(per_item) / n_docs
 
 
-def _ajsd_text_scores(records, predictions: dict):
-    """(bleu4, rouge_l, meteor, cider) per AJSD record, in order, in two streaming passes.
+def _text_scores(references: list[str], candidates):
+    """(bleu4, rouge_l, meteor, cider) per (reference, candidate) pair, in order.
 
-    Pass 1 tokenises every reference once and counts CIDEr's document
-    frequencies; pass 2 tokenises one candidate, counts its and its
-    reference's n-grams once, and feeds all four metrics. CIDEr is None
-    below two items.
+    `candidates` may be any iterable; it is read one item at a time after
+    every reference is tokenised. CIDEr is None below two items.
     """
     vocab = _Vocab()
-    refs = [vocab.intern(r.answer) for r in records]
+    refs = [vocab.intern(r) for r in references]
     n_docs = len(refs)
-    idf_by_n = _idf_tables([[ref] for ref in refs], n_docs, CIDER_N_MAX) if n_docs >= 2 else None
+    idf_by_n = _idf_tables(refs, n_docs) if n_docs >= 2 else None
     stem = vocab.stem_of.__getitem__
-    for record, ref in zip(records, refs):
-        cand = vocab.intern(predictions.get(record.sample_id, ""))
-        cand_grams = _ngram_counts(cand, 4)
-        ref_grams = _ngram_counts(ref, 4)
-        cider_item = None
-        if idf_by_n is not None:
-            cider_item = _cider(cand_grams, [ref_grams], idf_by_n, n_docs, CIDER_SCALE)
+    for ref, candidate in zip(refs, candidates):
+        cand = vocab.intern(candidate)
+        cand_grams = _ngram_counts(cand)
+        ref_grams = _ngram_counts(ref)
         yield (
-            _bleu4(len(cand), cand_grams, [len(ref)], ref_grams),
+            _bleu4(len(cand), cand_grams, len(ref), ref_grams),
             _rouge_l(cand, ref),
             _meteor(cand, ref, stem),
-            cider_item,
+            None if idf_by_n is None else _cider(cand_grams, ref_grams, idf_by_n, n_docs),
         )
 
 
@@ -361,14 +333,23 @@ class ScoreReport:
     outcomes: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _REPORT_KEYS}
+        return {name: getattr(self, name) for name in _REPORT_TYPES}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreReport":
-        return cls(**{name: data[name] for name in _REPORT_KEYS if name in data})
+        """The report of a JSON object; a non-object or a mistyped field raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
+        for name, kind in _REPORT_TYPES.items():
+            if name in data and not isinstance(data[name], kind):
+                raise ValueError(f"field {name!r} cannot be {type(data[name]).__name__}")
+        return cls(**{name: data[name] for name in _REPORT_TYPES if name in data})
 
 
-_REPORT_KEYS = tuple(f.name for f in fields(ScoreReport) if f.name != "outcomes")
+# The report's JSON fields and their types; the per-record outcomes stay out.
+_REPORT_TYPES = {
+    name: kind for name, kind in get_type_hints(ScoreReport).items() if name != "outcomes"
+}
 
 
 def load_predictions(path) -> dict:
@@ -459,7 +440,10 @@ def score_predictions(records, predictions: dict) -> ScoreReport:
             raise ValueError(f"prediction for unknown sample_id {sample_id!r}")
 
     ajsd_records = [r for r in records if r.task == "AJSD"]
-    text_scores = _ajsd_text_scores(ajsd_records, predictions)
+    text_scores = _text_scores(
+        [r.answer for r in ajsd_records],
+        (predictions.get(r.sample_id, "") for r in ajsd_records),
+    )
     outcomes = []
     for r in records:
         text = predictions.get(r.sample_id, "")

@@ -3,7 +3,8 @@
 Every render is a pure function of (signal, parameters): fixed axis
 rules, fixed colors, no text, no randomness. Constellation axes span
 +/-1.5 * max|x|, spectrum/spectrogram cover the full band DC-centered,
-the waveform view spans the full time axis.
+the waveform view spans the full time axis. A view is a plain
+(size, size, 3) uint8 array, ready for `png.encode_png`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import png
 from .raster import (
     WHITE,
     bucket_minmax,
@@ -61,21 +61,6 @@ class StftParams:
             raise ValueError("window_len must be a power of two >= 2")
         if not 1 <= self.hop <= self.window_len:
             raise ValueError("hop must satisfy 1 <= hop <= window_len")
-
-
-@dataclass
-class RasterImage:
-    """Fixed-size 8-bit RGB raster; pixels is an (H, W, 3) uint8 array."""
-
-    width: int
-    height: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise ValueError("pixel buffer shape does not match width/height")
-        if self.pixels.dtype != np.uint8:
-            raise ValueError("pixels must be uint8")
 
 
 @dataclass(frozen=True)
@@ -182,18 +167,7 @@ _RENDERERS = {
 }
 
 
-def render_view(signal: IqSignal, kind: ViewKind, params: RenderParams | None = None) -> RasterImage:
-    """Render one view as a deterministic fixed-size RGB raster."""
+def render_view(signal: IqSignal, kind: ViewKind, params: RenderParams | None = None) -> np.ndarray:
+    """Render one view as a deterministic (size, size, 3) uint8 RGB array."""
     p = params or RenderParams()
-    pixels = _RENDERERS[ViewKind(kind)](signal, p)  # ViewKind raises ValueError on unknown kinds
-    return RasterImage(p.size, p.size, pixels)
-
-
-def encode_png(img: RasterImage) -> bytes:
-    """PNG bytes with fixed encoder settings (stable across runs)."""
-    return png.encode_png(img.pixels)
-
-
-def decode_png(data: bytes) -> RasterImage:
-    pixels = png.decode_png(data)
-    return RasterImage(pixels.shape[1], pixels.shape[0], pixels)
+    return _RENDERERS[ViewKind(kind)](signal, p)  # ViewKind raises ValueError on unknown kinds

@@ -40,6 +40,7 @@ from emforge.signal import IqSignal, measure_snr
 from emforge.synth import apply_awgn, gen_noise
 from emforge.views import fft_magnitude
 
+from test_golden import pixel_digest
 from test_metrics import oracle_bleu4, oracle_cider, oracle_rouge_l, _random_sentence
 
 
@@ -169,7 +170,7 @@ def test_criterion_7_metric_oracles():
             assert abs(bleu4(cand, ref) - oracle_bleu4(cand, ref)) < 1e-9
             assert abs(rouge_l(cand, ref) - oracle_rouge_l(cand, ref)) < 1e-9
         cands = [c for c, _ in pairs]
-        refs = [[r] for _, r in pairs]
+        refs = [r for _, r in pairs]
         got_items, got_mean = cider(cands, refs)
         want_items, want_mean = oracle_cider(cands, refs)
         assert np.allclose(got_items, want_items, atol=1e-9)
@@ -314,6 +315,7 @@ def test_criterion_10_gold_run(desk_corpus):
 # The desk tree digest, pinned across commits like tests/test_golden.py;
 # it moves with the numpy FFT and zlib in use, so an upgrade is a re-pin.
 DESK_TREE_DIGEST = "e2abd588545aab2d69fe826f3c2bdc9652bcac329b60e755645bee7e87652cc6"
+DESK_PIXEL_DIGEST = "425dc4807fa873be56c1a547501f06ff8ba05ce94f12ceadf131072a64c11ddb"
 DESK_PINNED_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6"}
 
 
@@ -326,6 +328,9 @@ def test_criterion_11_full_build_determinism(desk_corpus, tmp_path):
         running = {"python": platform.python_version(), "numpy": np.__version__}
         assert _tree_hash(out) == DESK_TREE_DIGEST, (
             f"desk tree bytes changed; pinned with {DESK_PINNED_VERSIONS}, running {running}"
+        )
+        assert pixel_digest(out / "images") == DESK_PIXEL_DIGEST, (
+            f"desk pixels changed; pinned with {DESK_PINNED_VERSIONS}, running {running}"
         )
 
         records = read_manifest(out / "manifest_bench.jsonl")

@@ -10,7 +10,7 @@ import pytest
 
 import emforge
 from emforge.cli import main
-from emforge.corpus import gold_prediction, read_manifest
+from emforge.corpus import DEFAULT_SNR_GRIDS, gold_prediction, read_manifest
 from emforge.metrics import TEXT_METRICS
 
 SMALL_CONFIG = {
@@ -132,6 +132,10 @@ class TestBuild:
             ({"counts": {"MR": [0, 40]}, "sample_rates": {"MR": float("nan")}}, "sample_rates"),
             ({"counts": {"MR": [0, 40]}, "sample_rates": {"MR": float("inf")}}, "sample_rates"),
             ({"counts": {"MR": [0, 40]}, "snr_grids": {"MR": [-20, float("nan"), 0]}}, "snr_grids"),
+            # 10 records cannot fill the 20 default MR bins; 40 give each bin 2, not 3.
+            ({"counts": {"MR": [0, 10]}, "snr_grids": DEFAULT_SNR_GRIDS}, "per_bin_min"),
+            ({"counts": {"MR": [0, 40]}, "snr_grids": DEFAULT_SNR_GRIDS, "per_bin_min": 3},
+             "per_bin_min"),
         ],
     )
     def test_config_error_exit_2_before_writing(self, tmp_path, capsys, overrides, field):
@@ -293,10 +297,26 @@ class TestScore:
             (json.dumps({**MANIFEST_RECORD, "format": "Essay"}), "unknown format 'Essay'"),
             (json.dumps(MANIFEST_RECORD), "duplicate sample_id 'mr-00000'"),
             (json.dumps(SPE_RECORD), "SPE ground_truth needs a numeric 'value' and 'tolerance'"),
+            (json.dumps({**MANIFEST_RECORD, "snr_db": "high"}), "snr_db must be a finite number"),
+            (json.dumps({**MANIFEST_RECORD, "snr_db": float("nan")}),
+             "snr_db must be a finite number"),
+            (json.dumps({**MANIFEST_RECORD, "view_paths": "abcd"}),
+             "view_paths must list exactly 4 view paths"),
+            (json.dumps({**MANIFEST_RECORD, "view_paths": ["a", "b", "c", 4]}),
+             "view_paths must list exactly 4 view paths"),
+            (json.dumps({**MANIFEST_RECORD, "options": "ABCDE"}),
+             "options must be null or a list of strings"),
+            (json.dumps({**MANIFEST_RECORD, "sample_id": 7}), "sample_id must be a string"),
+            (json.dumps({**MANIFEST_RECORD, "question": ["Which?"]}), "question must be a string"),
+            (json.dumps({**MANIFEST_RECORD, "answer": 2}), "answer must be a string"),
+            (json.dumps({**MANIFEST_RECORD, "content_hash": None}),
+             "content_hash must be a string"),
         ],
         ids=[
             "bad-json", "missing-fields", "unknown-task", "unknown-format", "duplicate-id",
-            "spe-no-value",
+            "spe-no-value", "snr-string", "snr-nan", "view-paths-string", "view-path-number",
+            "options-string", "sample-id-number", "question-list", "answer-number",
+            "content-hash-null",
         ],
     )
     def test_malformed_manifest_exit_2(self, tmp_path, capsys, line, message):
@@ -367,6 +387,23 @@ class TestScore:
         assert all("correct" not in row for row in ajsd)
         assert all(set(row) == {"sample_id", "task", "format", "snr_db", "parseable", "correct"}
                    for row in rows if row["task"] != "AJSD")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("{", "Expecting property name"),
+            ('{"per_task": 5}', "field 'per_task' cannot be int"),
+            ("[]", "a report is a JSON object, not list"),
+        ],
+        ids=["bad-json", "per-task-number", "list"],
+    )
+    def test_malformed_report_exit_2(self, tmp_path, capsys, text, message):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert main(["report", "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert "error: report: " in captured.err and message in captured.err
+        assert captured.out == ""
 
     def test_report_replay(self, built, tmp_path, capsys):
         manifest = built / "manifest_bench.jsonl"

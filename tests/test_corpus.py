@@ -217,6 +217,27 @@ class TestStratifiedBench:
         with pytest.raises(ValueError, match="18 dB"):
             stratified_bench(records, (-20.0, 0.0, 18.0), per_bin_min=1)
 
+    @pytest.mark.parametrize("task", ["SSD", "MR"])
+    def test_validate_rejects_exactly_what_stratification_cannot_fill(self, task):
+        # SSD's noise segments carry no SNR, so its bins fill slower than MR's.
+        grid = SMALL_GRIDS[task]
+        for n in range(1, 3 * len(grid) + 4):
+            counts = (n, 0) if task == "SSD" else (0, n)
+            records = _task_records(task, *counts)
+            for per_bin_min in (1, 2, 3):
+                spec = _small_spec(per_bin_min=per_bin_min)
+                spec.counts = {task: counts}
+                try:
+                    stratified_bench(records, grid, per_bin_min)
+                    fills = True
+                except ValueError:
+                    fills = False
+                if fills:
+                    spec.validate()
+                else:
+                    with pytest.raises(ConfigError, match=f"{task} SNR bin .* per_bin_min"):
+                        spec.validate()
+
 
 class TestBuildCorpus:
     def test_plan_build_leak_free_and_deterministic(self):
@@ -269,7 +290,7 @@ class TestRecordErrors:
         spec = CorpusSpec.from_dict(self.SPEC)
         draft = builders.draft_record("MR", 2, "MCQA", spec)
         params = corpus._render_params(spec, draft.constellation_stride)
-        target = png.scanlines(render_view(draft.signal, ViewKind.FFT_SPECTRUM, params).pixels)
+        target = png.scanlines(render_view(draft.signal, ViewKind.FFT_SPECTRUM, params))
         deflate = png.deflate_scanlines
 
         def failing(rows):

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from emforge import png
 from emforge.corpus import CorpusSpec, build_corpus
 from emforge.metrics import score_predictions
 
@@ -44,11 +45,25 @@ PINNED_DIGESTS = {
     "images": "a4ca59ab72ad6b27ebf82cac643c70293620e3d2eb0c3ab31f8ee1f5292ed087",
     "manifest_train.jsonl": "8fd5a8d08f43f620ee68f37bd74935923ed503a739d65ae6cd34a08268bf3007",
     "manifest_bench.jsonl": "404cf956116d98150aa179a723476a57e0a6aa2e296410ceb966793686c6b9b3",
+    "pixels": "529bc871acb3e7b9a48b0f43c199d8e4b2b6d46d37ce942c722cc79861e77739",
 }
 
 
+def pixel_digest(images) -> str:
+    """sha256 of every decoded (H, W, 3) array (name and pixels, in name order).
+
+    It pins what the views look like apart from how the PNG encoder
+    stores them, so an encoder change that keeps every pixel keeps it.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(images.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(png.decode_png(path.read_bytes()).tobytes())
+    return digest.hexdigest()
+
+
 def golden_digests(out) -> dict:
-    """sha256 of every PNG (name and bytes, in name order) and of each manifest."""
+    """sha256 of every PNG (name and bytes, in name order), of each manifest, and of the pixels."""
     images = hashlib.sha256()
     for path in sorted((out / "images").iterdir()):
         images.update(path.name.encode())
@@ -56,6 +71,7 @@ def golden_digests(out) -> dict:
     digests = {"images": images.hexdigest()}
     for name in ("manifest_train.jsonl", "manifest_bench.jsonl"):
         digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    digests["pixels"] = pixel_digest(out / "images")
     return digests
 
 

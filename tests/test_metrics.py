@@ -94,27 +94,22 @@ def oracle_rouge_l(candidate, reference):
 
 def oracle_cider(candidates, references):
     all_cand = [tokenize(c) for c in candidates]
-    all_refs = [[tokenize(r) for r in refs] for refs in references]
+    all_refs = [tokenize(r) for r in references]
     n_docs = len(candidates)
     scores = []
-    for cand, refs in zip(all_cand, all_refs):
+    for cand, ref in zip(all_cand, all_refs):
         per_n = []
         for n in (1, 2, 3, 4):
             def idf(gram):
-                df = sum(
-                    1 for doc in all_refs if any(gram in _grams(toks, n) for toks in doc)
-                )
+                df = sum(1 for toks in all_refs if gram in _grams(toks, n))
                 return math.log(n_docs / max(df, 1))
 
             u = {g: c * idf(g) for g, c in Counter(_grams(cand, n)).items()}
-            sims = []
-            for ref in refs:
-                v = {g: c * idf(g) for g, c in Counter(_grams(ref, n)).items()}
-                dot = sum(val * v.get(g, 0.0) for g, val in u.items())
-                nu = math.sqrt(sum(x * x for x in u.values()))
-                nv = math.sqrt(sum(x * x for x in v.values()))
-                sims.append(0.0 if nu == 0 or nv == 0 else dot / (nu * nv))
-            per_n.append(sum(sims) / len(sims))
+            v = {g: c * idf(g) for g, c in Counter(_grams(ref, n)).items()}
+            dot = sum(val * v.get(g, 0.0) for g, val in u.items())
+            nu = math.sqrt(sum(x * x for x in u.values()))
+            nv = math.sqrt(sum(x * x for x in v.values()))
+            per_n.append(0.0 if nu == 0 or nv == 0 else dot / (nu * nv))
         scores.append(sum(per_n) / 4)
     return scores, sum(scores) / n_docs
 
@@ -291,14 +286,14 @@ class TestMeteor:
 class TestCider:
     def test_identical_single_reference(self):
         cands = ["alpha bravo charlie delta echo", "foxtrot golf hotel alpha bravo"]
-        per_item, mean = cider(cands, [[c] for c in cands])
+        per_item, mean = cider(cands, cands)
         assert all(abs(s - 1.0) < 1e-12 for s in per_item)
         assert abs(mean - 1.0) < 1e-12
 
     def test_disjoint_ngrams(self):
         per_item, _ = cider(
             ["alpha bravo", "charlie delta"],
-            [["echo foxtrot"], ["golf hotel"]],
+            ["echo foxtrot", "golf hotel"],
         )
         assert per_item[0] == 0.0
 
@@ -309,9 +304,9 @@ class TestCider:
             "echo foxtrot alpha delta",
         ]
         refs = [
-            ["alpha bravo charlie echo"],
-            ["alpha bravo golf golf"],
-            ["echo foxtrot alpha bravo"],
+            "alpha bravo charlie echo",
+            "alpha bravo golf golf",
+            "echo foxtrot alpha bravo",
         ]
         got_items, got_mean = cider(cands, refs)
         want_items, want_mean = oracle_cider(cands, refs)
@@ -324,7 +319,7 @@ class TestCider:
         for _ in range(10):
             n = int(rng.integers(2, 6))
             cands = [_random_sentence(rng) for _ in range(n)]
-            refs = [[_random_sentence(rng)] for _ in range(n)]
+            refs = [_random_sentence(rng) for _ in range(n)]
             got_items, got_mean = cider(cands, refs)
             want_items, want_mean = oracle_cider(cands, refs)
             assert np.allclose(got_items, want_items, atol=1e-9)
@@ -335,7 +330,7 @@ class TestCider:
         for _ in range(3):
             n = int(rng.integers(2, 6))
             cands = [_random_sentence(rng, 80) for _ in range(n)]
-            refs = [[_random_sentence(rng, 80)] for _ in range(n)]
+            refs = [_random_sentence(rng, 80) for _ in range(n)]
             got_items, got_mean = cider(cands, refs)
             want_items, want_mean = oracle_cider(cands, refs)
             assert np.allclose(got_items, want_items, atol=1e-9)
@@ -343,7 +338,7 @@ class TestCider:
 
     def test_needs_two_items(self):
         with pytest.raises(ValueError, match=">= 2"):
-            cider(["alpha"], [["alpha"]])
+            cider(["alpha"], ["alpha"])
 
 
 class TestComposites:
