@@ -58,7 +58,6 @@ def _load_spec(args) -> CorpusSpec:
 def cmd_build(args) -> int:
     spec = _load_spec(args)
     out_dir = args.out or _default_out()
-    os.makedirs(out_dir, exist_ok=True)
     train, bench = build_corpus(spec, out_dir, workers=args.workers)
     summary = build_summary(train, bench)
     print(f"built {summary['total']} records -> {out_dir}")
@@ -176,7 +175,7 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument(
         "--total", type=int, help="benchmark-table-proportional total record count"
     )
-    p_build.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_build.add_argument("--workers", type=int, default=1, help="worker processes, N >= 1")
     p_build.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or emforge-out)")
     p_build.set_defaults(func=cmd_build)
 

@@ -524,8 +524,11 @@ def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool 
 
     Returns (train_records, bench_records). Output is independent of the
     worker count: records are pure functions of (spec, sample_id) and the
-    manifests are sorted.
+    manifests are sorted. Fewer than one worker raises ConfigError before
+    anything is written.
     """
+    if workers < 1:
+        raise ConfigError("workers", f"need at least 1 worker process, got {workers}")
     spec.validate()
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)

@@ -13,19 +13,24 @@ per-task accuracies, the unparseable count and the SNR tables are folds
 over that list, so each prediction is checked once.
 
 Free text has one scoring path, `_text_scores`, with exactly one
-reference per item. It streams in two passes. The first tokenises every
-reference once, interning tokens to ints, and counts CIDEr's document
-frequencies. The second takes one item at a time: it tokenises the
-candidate once, counts the 1-4-grams of candidate and reference once
-each, and feeds all four metrics from those tokens and counts. No n-gram
-counter outlives its item, so memory does not grow with the bench.
-ROUGE-L's LCS length is bit-parallel over Python ints (Allison & Dix
-1986; Hyyrö 2004); METEOR looks each token, then each stem, up in a map
-to its unused reference positions. `score_predictions` and `cider` run
-`_text_scores`; `bleu4`, `rouge_l` and `meteor` run its kernels on one
-pair. Every per-item formula keeps one order of operations and corpus
-means are sums of per-item lists in record order, so a score does not
-depend on which caller computed it.
+reference per item. References repeat (they come from rule tables), so
+it works once per distinct reference, in two passes. The first interns
+each distinct reference's tokens to ints and counts CIDEr's document
+frequencies, each weighted by how many items use that reference. The
+second walks the items grouped by reference: each group builds its
+reference's 1-4-gram counts, TF-IDF weights and norms once, then scores
+its candidates. Each candidate is tokenised once, and one walk per order
+over its n-grams sums BLEU's clipped matches, CIDEr's dot product and
+the candidate's TF-IDF norm together. Only one reference's counters are
+alive at a time; scores come back in record order. ROUGE-L's LCS length
+is bit-parallel over Python ints (Allison & Dix 1986; Hyyrö 2004);
+METEOR looks each token, then each stem, up in a map to its unused
+reference positions. `score_predictions`, `bleu4` and `cider` run
+`_text_scores`; `rouge_l` and `meteor` run its kernels on one pair.
+Every per-item formula keeps one order of operations (float sums run
+left to right over the candidate's, or the reference's, n-grams in
+first-occurrence order) and corpus means are sums of per-item lists in
+record order, so a score does not depend on which caller computed it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ METEOR_ALPHA = 0.9
 METEOR_BETA = 3.0
 METEOR_GAMMA = 0.5
 NGRAM_ORDER = 4  # BLEU4 and CIDEr both use the 1-4-grams
+_LOG_EPSILON = math.log(BLEU_EPSILON)
 
 _TOKEN_RE = re.compile(r"\d+\.\d+|\w+|[^\w\s]")
 _STEM_SUFFIXES = ("ing", "ed", "es", "s")
@@ -62,12 +68,8 @@ def _stem(token: str) -> str:
 
 
 def _ngrams(tokens: list, n: int):
-    return zip(*(tokens[k:] for k in range(n)))
-
-
-def _ngram_counts(tokens: list) -> list[Counter]:
-    """Counts of the 1-4-grams of `tokens`, keyed by tuple, in first-occurrence order."""
-    return [Counter(_ngrams(tokens, n)) for n in range(1, NGRAM_ORDER + 1)]
+    """The n-grams of `tokens`: the tokens themselves for n = 1, tuples above."""
+    return tokens if n == 1 else zip(*(tokens[k:] for k in range(n)))
 
 
 class _Vocab:
@@ -88,29 +90,9 @@ class _Vocab:
         return [ids[tok] for tok in tokens]
 
 
-def _bleu4(cand_len: int, cand_grams: list, ref_len: int, ref_grams: list) -> float:
-    """BLEU4 from the 1-4-gram counts of a candidate and its reference."""
-    if not cand_len:
-        return 0.0
-
-    log_sum = 0.0
-    for counts, clip in zip(cand_grams, ref_grams):
-        total = sum(counts.values())
-        if total == 0:
-            log_sum += math.log(BLEU_EPSILON)
-            continue
-        matched = sum(min(c, clip.get(g, 0)) for g, c in counts.items())
-        precision = matched / total
-        log_sum += math.log(precision) if precision > 0 else math.log(BLEU_EPSILON)
-
-    bp = 1.0 if cand_len > ref_len else math.exp(1 - ref_len / cand_len)
-    return bp * math.exp(log_sum / 4)
-
-
 def bleu4(candidate: str, reference: str) -> float:
     """Geometric mean of clipped 1-4-gram precisions times brevity penalty."""
-    cand, ref = tokenize(candidate), tokenize(reference)
-    return _bleu4(len(cand), _ngram_counts(cand), len(ref), _ngram_counts(ref))
+    return _text_scores([reference], [candidate])[0][0]
 
 
 def _lcs_len(a: list, b: list) -> int:
@@ -198,35 +180,69 @@ def meteor(candidate: str, reference: str) -> float:
 
 
 def _idf_tables(refs: list, n_docs: int) -> list[dict]:
-    """Per n, log(N / document frequency) of every reference n-gram (one document per item)."""
+    """Per n, log(N / document frequency) of every reference n-gram.
+
+    `refs` holds (tokens, items) per distinct reference; each counts as
+    one document per item that uses it.
+    """
     df = [Counter() for _ in range(NGRAM_ORDER)]
-    for toks in refs:
+    for toks, items in refs:
+        weight = len(items)
         for n, counts in enumerate(df, 1):
-            counts.update(set(_ngrams(toks, n)))
-    return [{g: math.log(n_docs / max(c, 1)) for g, c in d.items()} for d in df]
+            for g in set(_ngrams(toks, n)):
+                counts[g] += weight
+    return [{g: math.log(n_docs / c) for g, c in d.items()} for d in df]
 
 
-def _tfidf_vec(counts: Counter, idf: dict, default: float) -> dict:
-    return {g: c * idf.get(g, default) for g, c in counts.items()}
+def _reference_tables(ref: list, idf_by_n: list) -> list[tuple]:
+    """Per n: (n-gram -> (count, idf, TF-IDF weight), TF-IDF norm) of one reference."""
+    tables = []
+    for n, idf in enumerate(idf_by_n, 1):
+        grams = {}
+        sq = 0.0
+        for g, c in Counter(_ngrams(ref, n)).items():
+            g_idf = idf[g]
+            w = c * g_idf
+            grams[g] = (c, g_idf, w)
+            sq += w * w
+        tables.append((grams, idf, math.sqrt(sq)))
+    return tables
 
 
-def _cosine(u: dict, v: dict) -> float:
-    dot = sum(val * v[g] for g, val in u.items() if g in v)
-    nu = math.sqrt(sum(val * val for val in u.values()))
-    nv = math.sqrt(sum(val * val for val in v.values()))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return dot / (nu * nv)
+def _bleu4_cider(cand: list, ref_len: int, tables: list, default: float) -> tuple[float, float]:
+    """BLEU4 and CIDEr of one candidate against its reference's `tables`.
 
-
-def _cider(cand_grams: list, ref_grams: list, idf_by_n: list, n_docs: int) -> float:
-    """One item's mean over n of TF-IDF cosines; n-grams absent from every reference get log(N)."""
-    default = math.log(n_docs)
-    score_n = [
-        _cosine(_tfidf_vec(cand, idf, default), _tfidf_vec(ref, idf, default))
-        for cand, ref, idf in zip(cand_grams, ref_grams, idf_by_n)
-    ]
-    return sum(score_n) / len(idf_by_n)
+    Each order's candidate n-grams are walked once, in first-occurrence
+    order: the walk sums BLEU's clipped matches, CIDEr's dot product and
+    the candidate's squared TF-IDF norm together. N-grams absent from
+    every reference get the maximum IDF, `default` = log(N).
+    """
+    cand_len = len(cand)
+    log_sum = 0.0
+    cider_sum = 0.0
+    for n, (grams, idf, ref_norm) in enumerate(tables, 1):
+        matched = 0
+        dot = 0.0
+        sq = 0.0
+        for g, c in Counter(_ngrams(cand, n)).items():
+            hit = grams.get(g)
+            if hit is None:
+                w = c * idf.get(g, default)
+            else:
+                ref_c, g_idf, ref_w = hit
+                matched += c if c < ref_c else ref_c
+                w = c * g_idf
+                dot += w * ref_w
+            sq += w * w
+        # A match implies at least one of the cand_len - n + 1 candidate n-grams.
+        log_sum += math.log(matched / (cand_len - n + 1)) if matched else _LOG_EPSILON
+        norm = math.sqrt(sq)
+        cider_sum += 0.0 if norm == 0.0 or ref_norm == 0.0 else dot / (norm * ref_norm)
+    cider_score = cider_sum / NGRAM_ORDER
+    if not cand_len:
+        return 0.0, cider_score
+    bp = 1.0 if cand_len > ref_len else math.exp(1 - ref_len / cand_len)
+    return bp * math.exp(log_sum / 4), cider_score
 
 
 def cider(candidates: list[str], references: list[str]) -> tuple[list[float], float]:
@@ -244,27 +260,40 @@ def cider(candidates: list[str], references: list[str]) -> tuple[list[float], fl
     return per_item, sum(per_item) / n_docs
 
 
-def _text_scores(references: list[str], candidates):
+def _text_scores(references: list[str], candidates: list[str]) -> list[tuple]:
     """(bleu4, rouge_l, meteor, cider) per (reference, candidate) pair, in order.
 
-    `candidates` may be any iterable; it is read one item at a time after
-    every reference is tokenised. CIDEr is None below two items.
+    Pass 1 interns each distinct reference once and counts CIDEr's
+    document frequencies, weighted by how many items use it. Pass 2 walks
+    the items grouped by reference: each group builds its reference's
+    n-gram tables once and scores its candidates against them, so only
+    one reference's counters are alive at a time. CIDEr is None below
+    two items.
     """
+    if not references:
+        return []
     vocab = _Vocab()
-    refs = [vocab.intern(r) for r in references]
-    n_docs = len(refs)
-    idf_by_n = _idf_tables(refs, n_docs) if n_docs >= 2 else None
+    items: dict[str, list[int]] = {}
+    for i, text in enumerate(references):
+        items.setdefault(text, []).append(i)
+    refs = [(vocab.intern(text), rows) for text, rows in items.items()]
+    n_docs = len(references)
+    idf_by_n = _idf_tables(refs, n_docs)
+    default = math.log(n_docs)
     stem = vocab.stem_of.__getitem__
-    for ref, candidate in zip(refs, candidates):
-        cand = vocab.intern(candidate)
-        cand_grams = _ngram_counts(cand)
-        ref_grams = _ngram_counts(ref)
-        yield (
-            _bleu4(len(cand), cand_grams, len(ref), ref_grams),
-            _rouge_l(cand, ref),
-            _meteor(cand, ref, stem),
-            None if idf_by_n is None else _cider(cand_grams, ref_grams, idf_by_n, n_docs),
-        )
+    scores: list = [None] * n_docs
+    for ref, rows in refs:
+        tables = _reference_tables(ref, idf_by_n)
+        for i in rows:
+            cand = vocab.intern(candidates[i])
+            bleu, cider_score = _bleu4_cider(cand, len(ref), tables, default)
+            scores[i] = (
+                bleu,
+                _rouge_l(cand, ref),
+                _meteor(cand, ref, stem),
+                cider_score if n_docs >= 2 else None,
+            )
+    return scores
 
 
 def mean_of_four(b: float, r: float, m: float, c: float) -> float:
@@ -440,9 +469,11 @@ def score_predictions(records, predictions: dict) -> ScoreReport:
             raise ValueError(f"prediction for unknown sample_id {sample_id!r}")
 
     ajsd_records = [r for r in records if r.task == "AJSD"]
-    text_scores = _text_scores(
-        [r.answer for r in ajsd_records],
-        (predictions.get(r.sample_id, "") for r in ajsd_records),
+    text_scores = iter(
+        _text_scores(
+            [r.answer for r in ajsd_records],
+            [predictions.get(r.sample_id, "") for r in ajsd_records],
+        )
     )
     outcomes = []
     for r in records:

@@ -12,6 +12,7 @@ generated from the payload seed (AM depth 0.5, WBFM deviation 75 kHz).
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,8 +102,13 @@ def constellation(kind: ModulationKind) -> np.ndarray:
     return points / np.sqrt(np.mean(np.abs(points) ** 2))
 
 
+@lru_cache
 def rrc_taps(sps: int, rolloff: float = RRC_ROLLOFF, span: int = RRC_SPAN_SYMBOLS) -> np.ndarray:
-    """Root-raised-cosine filter taps, unit energy, length span*sps + 1."""
+    """Root-raised-cosine filter taps, unit energy, length span*sps + 1.
+
+    Memoised per (sps, rolloff, span), for the last 128 argument tuples:
+    calls with the same arguments share one read-only array.
+    """
     half = span * sps // 2
     t = np.arange(-half, half + 1, dtype=float) / sps
     taps = np.empty_like(t)
@@ -121,7 +127,9 @@ def rrc_taps(sps: int, rolloff: float = RRC_ROLLOFF, span: int = RRC_SPAN_SYMBOL
             )
             den = np.pi * ti * (1 - (4 * rolloff * ti) ** 2)
             taps[i] = num / den
-    return taps / np.sqrt(np.sum(taps**2))
+    taps /= np.sqrt(np.sum(taps**2))
+    taps.flags.writeable = False
+    return taps
 
 
 def cyclic_filter(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -136,13 +136,18 @@ class TestBuild:
             ({"counts": {"MR": [0, 10]}, "snr_grids": DEFAULT_SNR_GRIDS}, "per_bin_min"),
             ({"counts": {"MR": [0, 40]}, "snr_grids": DEFAULT_SNR_GRIDS, "per_bin_min": 3},
              "per_bin_min"),
+            # Keys that start with "--" are command-line flags, not config fields.
+            ({"--workers": 0}, "workers"),
+            ({"--workers": -3}, "workers"),
         ],
     )
     def test_config_error_exit_2_before_writing(self, tmp_path, capsys, overrides, field):
+        flags = [str(a) for k, v in overrides.items() if k.startswith("--") for a in (k, v)]
+        config = {k: v for k, v in overrides.items() if not k.startswith("--")}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(dict(SMALL_CONFIG, **overrides)))
+        path.write_text(json.dumps(dict(SMALL_CONFIG, **config)))
         out = tmp_path / "o"
-        assert main(["build", "--config", str(path), "--out", str(out)]) == 2
+        assert main(["build", "--config", str(path), "--out", str(out), *flags]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
 

@@ -275,6 +275,13 @@ class TestBuildCorpus:
         assert [r.to_dict() for r in train_a] == [r.to_dict() for r in train_b]
         assert [r.to_dict() for r in bench_a] == [r.to_dict() for r in bench_b]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected_before_writing(self, tmp_path, workers):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="workers"):
+            build_corpus(_small_spec(), out, workers=workers)
+        assert not out.exists()
+
 
 class TestRecordErrors:
     """A failure names its record, and no encoder thread outlives the build."""

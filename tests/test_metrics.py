@@ -1,9 +1,10 @@
 """Text metrics against independent brute-force implementations, tag
 parsing, accuracy folds, and report formatting.
 
-The scorer's O(n*m) dynamic-programming LCS and its scan-based METEOR
-alignment live on here as exact oracles for the bit-parallel LCS and
-the indexed alignment that replaced them.
+The scorer's O(n*m) dynamic-programming LCS, its scan-based METEOR
+alignment and its per-item streaming text scorer live on here as exact
+oracles for the bit-parallel LCS, the indexed alignment and the scorer
+grouped by reference that replaced them.
 """
 
 import json
@@ -14,18 +15,22 @@ from itertools import product
 import numpy as np
 import pytest
 
-from emforge.corpus import ManifestRecord
+from emforge.corpus import CorpusSpec, ManifestRecord, build_corpus
 from emforge.instrgen import TagKind
 from emforge.metrics import (
     BLEU_EPSILON,
     METEOR_ALPHA,
     METEOR_BETA,
     METEOR_GAMMA,
+    NGRAM_ORDER,
     ROUGE_BETA,
     ScoreReport,
     _lcs_len,
+    _meteor,
     _meteor_alignment,
+    _rouge_l,
     _stem,
+    _text_scores,
     _Vocab,
     ajsd_composite,
     bleu4,
@@ -157,6 +162,94 @@ def oracle_meteor(candidate, reference):
         1 for (ci, ri), (cj, rj) in zip(pairs, pairs[1:]) if (cj, rj) != (ci + 1, ri + 1)
     )
     return f * (1 - METEOR_GAMMA * (chunks / m) ** METEOR_BETA)
+
+
+# The per-item streaming scorer the grouped one replaced, verbatim but for
+# the oracle_ prefix: every reference tokenised up front, every item's
+# n-gram counters built, scored and dropped in record order.
+
+
+def _ngrams(tokens: list, n: int):
+    return zip(*(tokens[k:] for k in range(n)))
+
+
+def _ngram_counts(tokens: list) -> list[Counter]:
+    """Counts of the 1-4-grams of `tokens`, keyed by tuple, in first-occurrence order."""
+    return [Counter(_ngrams(tokens, n)) for n in range(1, NGRAM_ORDER + 1)]
+
+
+def _bleu4(cand_len: int, cand_grams: list, ref_len: int, ref_grams: list) -> float:
+    """BLEU4 from the 1-4-gram counts of a candidate and its reference."""
+    if not cand_len:
+        return 0.0
+
+    log_sum = 0.0
+    for counts, clip in zip(cand_grams, ref_grams):
+        total = sum(counts.values())
+        if total == 0:
+            log_sum += math.log(BLEU_EPSILON)
+            continue
+        matched = sum(min(c, clip.get(g, 0)) for g, c in counts.items())
+        precision = matched / total
+        log_sum += math.log(precision) if precision > 0 else math.log(BLEU_EPSILON)
+
+    bp = 1.0 if cand_len > ref_len else math.exp(1 - ref_len / cand_len)
+    return bp * math.exp(log_sum / 4)
+
+
+def _idf_tables(refs: list, n_docs: int) -> list[dict]:
+    """Per n, log(N / document frequency) of every reference n-gram (one document per item)."""
+    df = [Counter() for _ in range(NGRAM_ORDER)]
+    for toks in refs:
+        for n, counts in enumerate(df, 1):
+            counts.update(set(_ngrams(toks, n)))
+    return [{g: math.log(n_docs / max(c, 1)) for g, c in d.items()} for d in df]
+
+
+def _tfidf_vec(counts: Counter, idf: dict, default: float) -> dict:
+    return {g: c * idf.get(g, default) for g, c in counts.items()}
+
+
+def _cosine(u: dict, v: dict) -> float:
+    dot = sum(val * v[g] for g, val in u.items() if g in v)
+    nu = math.sqrt(sum(val * val for val in u.values()))
+    nv = math.sqrt(sum(val * val for val in v.values()))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return dot / (nu * nv)
+
+
+def _cider(cand_grams: list, ref_grams: list, idf_by_n: list, n_docs: int) -> float:
+    """One item's mean over n of TF-IDF cosines; n-grams absent from every reference get log(N)."""
+    default = math.log(n_docs)
+    score_n = [
+        _cosine(_tfidf_vec(cand, idf, default), _tfidf_vec(ref, idf, default))
+        for cand, ref, idf in zip(cand_grams, ref_grams, idf_by_n)
+    ]
+    return sum(score_n) / len(idf_by_n)
+
+
+def oracle_text_scores(references: list[str], candidates):
+    """(bleu4, rouge_l, meteor, cider) per (reference, candidate) pair, in order.
+
+    `candidates` may be any iterable; it is read one item at a time after
+    every reference is tokenised. CIDEr is None below two items.
+    """
+    vocab = _Vocab()
+    refs = [vocab.intern(r) for r in references]
+    n_docs = len(refs)
+    idf_by_n = _idf_tables(refs, n_docs) if n_docs >= 2 else None
+    stem = vocab.stem_of.__getitem__
+    for ref, candidate in zip(refs, candidates):
+        cand = vocab.intern(candidate)
+        cand_grams = _ngram_counts(cand)
+        ref_grams = _ngram_counts(ref)
+        yield (
+            _bleu4(len(cand), cand_grams, len(ref), ref_grams),
+            _rouge_l(cand, ref),
+            _meteor(cand, ref, stem),
+            None if idf_by_n is None else _cider(cand_grams, ref_grams, idf_by_n, n_docs),
+        )
 
 
 _WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
@@ -339,6 +432,60 @@ class TestCider:
     def test_needs_two_items(self):
         with pytest.raises(ValueError, match=">= 2"):
             cider(["alpha"], ["alpha"])
+
+
+def _candidate(rng, reference, words):
+    """The reference itself, the reference with words dropped, or unrelated words."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return reference
+    if kind == 1:
+        return " ".join(t for t in reference.split() if rng.random() >= 0.3)
+    return _random_sentence(rng, 30, words)
+
+
+class TestGroupedTextScores:
+    """The scorer grouped by reference returns the streaming oracle's tuples, with ==."""
+
+    @staticmethod
+    def _check(references, candidates):
+        got = _text_scores(references, candidates)
+        assert got == list(oracle_text_scores(references, candidates))
+        return got
+
+    @pytest.mark.parametrize("words", [_WORDS, _STEM_WORDS], ids=["plain", "stem_collisions"])
+    def test_references_from_small_pools(self, words):
+        # 1-4 reference texts, each used by 1-10 items, interleaved in record order.
+        rng = np.random.default_rng(31 if words is _WORDS else 32)
+        for _ in range(150):
+            pool = [_random_sentence(rng, 30, words) for _ in range(int(rng.integers(1, 5)))]
+            refs = [text for text in pool for _ in range(int(rng.integers(1, 11)))]
+            rng.shuffle(refs)
+            self._check(refs, [_candidate(rng, ref, words) for ref in refs])
+
+    def test_blank_and_punctuation_candidates(self):
+        refs = ["alpha bravo charlie", "jumped echoes , delta", "alpha bravo charlie"] * 3
+        cands = ["", "   ", "\n\t ", "?!", ". , ;", "...", "alpha", "jumping echo", "-"]
+        got = self._check(refs, cands)
+        for (bleu, rouge, met, cid), cand in zip(got, cands):
+            if not cand.strip():
+                assert (bleu, rouge, met, cid) == (0.0, 0.0, 0.0, 0.0), cand
+
+    def test_one_item_has_no_cider(self):
+        (scores,) = self._check(["alpha bravo charlie delta"], ["alpha bravo delta"])
+        assert scores[3] is None
+        assert self._check([], []) == []
+
+    def test_mixed_golden_corpus(self):
+        # The AJSD records and predictions of the pinned mixed-report test.
+        from test_golden import mixed_predictions
+
+        train, bench = build_corpus(CorpusSpec.from_total(846, global_seed=5), None, render=False)
+        records = train + bench
+        predictions = mixed_predictions(records, seed=5)
+        ajsd = [r for r in records if r.task == "AJSD"]
+        assert len(ajsd) == 200 and len({r.answer for r in ajsd}) < len(ajsd)
+        self._check([r.answer for r in ajsd], [predictions.get(r.sample_id, "") for r in ajsd])
 
 
 class TestComposites:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from emforge.builders import EI_SPS, MR_SPS, SSD_COMM_SPS
 from emforge.signal import IqSignal, measure_snr, signal_power
 from emforge.synth import (
     ANALOG_KINDS,
@@ -36,6 +37,24 @@ from emforge.views import StftParams, fft_magnitude, stft
 
 def _bits(n, seed):
     return np.random.default_rng(seed).integers(0, 2, n)
+
+
+class TestRrcTaps:
+    # Every samples-per-symbol the builders use, plus the 8 of `emforge render`.
+    @pytest.mark.parametrize("sps", sorted({MR_SPS, SSD_COMM_SPS, EI_SPS, 8}))
+    def test_cached_taps_equal_fresh_computation(self, sps):
+        taps = rrc_taps(sps)
+        assert rrc_taps(sps) is taps
+        assert np.array_equal(taps, rrc_taps.__wrapped__(sps))
+        assert taps.size == 8 * sps + 1 and abs(np.sum(taps**2) - 1.0) < 1e-12
+
+    def test_cached_taps_read_only(self):
+        taps = rrc_taps(MR_SPS)
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            taps *= 2.0
+        assert np.array_equal(taps, rrc_taps.__wrapped__(MR_SPS))
 
 
 class TestModulate:
