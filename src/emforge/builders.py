@@ -1,20 +1,20 @@
 """Per-task record drafting: signal synthesis plus QA construction.
 
-Each draft is a pure function of (task, index, format, corpus spec):
-the record's rng is derived from the global seed and the sample id, so
-records can be generated in any order or in parallel without changing
-a single output byte.
+Each draft, EI included, is a pure function of (task, index, format,
+corpus spec): the record's rng is derived from the global seed and the
+sample id, so records can be generated in any order or in parallel
+without changing a single output byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .instrgen import (
-    TASK_TAGS,
     canonical_number,
     make_ajsd_openqa,
     make_mcqa_categorical,
@@ -94,8 +94,24 @@ def derive_seed(global_seed: int, token: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _largest_remainder(quotas: list[float], total: int) -> list[int]:
+    floors = [int(q) for q in quotas]
+    remainder = total - sum(floors)
+    order = sorted(range(len(quotas)), key=lambda i: (-(quotas[i] - floors[i]), i))
+    for i in order[:remainder]:
+        floors[i] += 1
+    return floors
+
+
+def _ei_device_counts(total: int, n_devices: int) -> list[int]:
+    """Long-tailed per-device EI record counts: geometric decay 0.75 per device, sums to total."""
+    weights = np.array([0.75**k for k in range(n_devices)])
+    return _largest_remainder((total * weights / weights.sum()).tolist(), total)
+
+
+@lru_cache
 def make_device_profiles(count: int) -> tuple[DeviceProfile, ...]:
-    """Fixed synthetic device inventory with spread impairment signatures."""
+    """Fixed synthetic device inventory with spread impairment signatures; cached per count."""
     profiles = []
     for k in range(count):
         sign = 1.0 if k % 2 == 0 else -1.0
@@ -120,7 +136,6 @@ class RecordDraft:
     question: str
     options: tuple | None
     answer: str
-    tag: str
     snr_db: float | None
     ground_truth: dict
     constellation_stride: int
@@ -160,11 +175,9 @@ def _categorical_qa(task, gt, universe, fmt, rng, **fmt_args):
     return question, None, answer
 
 
-def _draft_ssd(index, fmt, spec, rng):
-    fs = spec.sample_rates["SSD"]
+def _draft_ssd(index, fmt, spec, rng, fs, snr):
     duration_us = SEGMENT_SAMPLES / fs * 1e6
     cls = SSD_CLASSES[index % 3]
-    snr = record_snr("SSD", index, spec.snr_grids["SSD"])
     stride = 4
     if cls == "noise":
         sig = gen_noise(SEGMENT_SAMPLES, fs, _seed(rng))
@@ -184,18 +197,12 @@ def _draft_ssd(index, fmt, spec, rng):
             clean = modulated_payload(kind, SEGMENT_SAMPLES, SSD_COMM_SPS, fs, rng)
             stride = SSD_COMM_SPS
         sig = apply_awgn(clean, snr, _seed(rng))
-    question, options, answer = _categorical_qa("SSD", cls, SSD_OPTION_UNIVERSE, fmt, rng)
-    return RecordDraft(
-        sig, question, options, answer, _tag(fmt, "SSD"), snr,
-        {"segment_class": cls}, stride,
-    )
+    qa = _categorical_qa("SSD", cls, SSD_OPTION_UNIVERSE, fmt, rng)
+    return sig, qa, {"segment_class": cls}, stride
 
 
-def _draft_spe(index, fmt, spec, rng):
-    fs = spec.sample_rates["SPE"]
+def _draft_spe(index, fmt, spec, rng, fs, snr):
     duration_us = SEGMENT_SAMPLES / fs * 1e6
-    snr = record_snr("SPE", index, spec.snr_grids["SPE"])
-
     pw = float(rng.choice(np.arange(1.0, 8.5, 0.5)))
     period = float(rng.choice(np.arange(10.0, 41.0, 1.0)))
     count = int(rng.integers(2, 7))
@@ -204,8 +211,9 @@ def _draft_spe(index, fmt, spec, rng):
     pulse_spec = RadarPulseSpec(pw, period, count, delay, fill)
     sig = apply_awgn(gen_radar_pulse_train(pulse_spec, duration_us, fs), snr, _seed(rng))
 
+    pulses = {"pulse_width_us": pw, "period_us": period, "count": count, "delay_us": delay}
     param = SPE_PARAMS[index % 4]
-    value = {"pulse_width_us": pw, "period_us": period, "count": count, "delay_us": delay}[param]
+    value = pulses[param]
     integer = param == "count"
     tolerance = SPE_COUNT_TOLERANCE if integer else SPE_TOLERANCE_US
     phrase, unit = SPE_PARAM_PHRASES[param]
@@ -214,72 +222,57 @@ def _draft_spe(index, fmt, spec, rng):
         "value": float(value),
         "tolerance": tolerance,
         "unit": unit,
-        "pulse_spec": {
-            "pulse_width_us": pw,
-            "period_us": period,
-            "count": count,
-            "delay_us": delay,
-        },
+        "pulse_spec": pulses,
     }
     if fmt == "MCQA":
         options = make_mcqa_numeric(float(value), tolerance, seed=_seed(rng), integer=integer)
         question = make_mcqa_question("SPE", seed=_seed(rng), param=phrase, unit=unit)
-        return RecordDraft(
-            sig, question, options.texts, options.correct_letter, _tag(fmt, "SPE"),
-            snr, gt, 4,
+        qa = question, options.texts, options.correct_letter
+    else:
+        question, answer = make_openqa(
+            "SPE", canonical_number(value, integer), seed=_seed(rng), param=phrase, unit=unit
         )
-    question, answer = make_openqa(
-        "SPE", canonical_number(value, integer), seed=_seed(rng), param=phrase, unit=unit
-    )
-    return RecordDraft(sig, question, None, answer, _tag(fmt, "SPE"), snr, gt, 4)
+        qa = question, None, answer
+    return sig, qa, gt, 4
 
 
-def _draft_mr(index, fmt, spec, rng):
-    fs = spec.sample_rates["MR"]
-    snr = record_snr("MR", index, spec.snr_grids["MR"])
+def _draft_mr(index, fmt, spec, rng, fs, snr):
     kind = MR_KINDS[index % len(MR_KINDS)]
     clean = modulated_payload(kind, MR_SAMPLES, MR_SPS, fs, rng)
     sig = apply_awgn(clean, snr, _seed(rng))
     universe = [k.value for k in MR_KINDS]
-    question, options, answer = _categorical_qa("MR", kind.value, universe, fmt, rng)
-    return RecordDraft(
-        sig, question, options, answer, _tag(fmt, "MR"), snr, {"modulation": kind.value}, MR_SPS
-    )
+    qa = _categorical_qa("MR", kind.value, universe, fmt, rng)
+    return sig, qa, {"modulation": kind.value}, MR_SPS
 
 
-def _draft_pr(index, fmt, spec, rng):
-    fs = spec.sample_rates["PR"]
+def _draft_pr(index, fmt, spec, rng, fs, snr):
     duration_us = SEGMENT_SAMPLES / fs * 1e6
-    snr = record_snr("PR", index, spec.snr_grids["PR"])
     cls = PROTOCOL_CLASSES[index % len(PROTOCOL_CLASSES)]
     burst = gen_protocol_burst(default_burst_spec(cls), duration_us, fs, seed=_seed(rng))
     sig = apply_awgn(burst, snr, _seed(rng))
-    question, options, answer = _categorical_qa("PR", cls, PROTOCOL_CLASSES, fmt, rng)
-    return RecordDraft(
-        sig, question, options, answer, _tag(fmt, "PR"), snr, {"protocol_class": cls}, 4
-    )
+    qa = _categorical_qa("PR", cls, PROTOCOL_CLASSES, fmt, rng)
+    return sig, qa, {"protocol_class": cls}, 4
 
 
-def _draft_ei(index, fmt, spec, rng, device_sequence, profiles):
-    fs = spec.sample_rates["EI"]
-    profile = profiles[device_sequence[index]]
+def _draft_ei(index, fmt, spec, rng, fs, snr):
+    # EI records come in long-tailed device blocks: record `index` belongs
+    # to the first device whose running count exceeds it.
+    profiles = make_device_profiles(spec.ei_device_count)
+    counts = _ei_device_counts(sum(spec.counts["EI"]), len(profiles))
+    profile = profiles[int(np.searchsorted(np.cumsum(counts), index, side="right"))]
     clean = modulated_payload(ModulationKind.QPSK, SEGMENT_SAMPLES, EI_SPS, fs, rng)
     marked = apply_device_profile(clean, profile, _seed(rng))
     # Real captures carry no SNR annotation; the noise draw stays unrecorded.
     internal_snr = float(rng.choice(np.arange(6.0, 19.0, 2.0)))
     sig = apply_awgn(marked, internal_snr, _seed(rng))
     universe = [p.device_id for p in profiles]
-    question, options, answer = _categorical_qa("EI", profile.device_id, universe, fmt, rng)
-    return RecordDraft(
-        sig, question, options, answer, _tag(fmt, "EI"), None,
-        {"device_id": profile.device_id}, EI_SPS,
-    )
+    qa = _categorical_qa("EI", profile.device_id, universe, fmt, rng)
+    return sig, qa, {"device_id": profile.device_id}, EI_SPS
 
 
-def _draft_ajsd(index, fmt, spec, rng):
+def _draft_ajsd(index, fmt, spec, rng, fs, snr):
     if fmt != "OpenQA":
         raise ValueError("AJSD records are OpenQA only")
-    fs = spec.sample_rates["AJSD"]
     duration_us = SEGMENT_SAMPLES / fs * 1e6
     kinds = AJSD_ARCHETYPES[index % len(AJSD_ARCHETYPES)]
     offsets_mhz = rng.choice(np.arange(-5.0, 5.5, 0.5), size=max(len(kinds), 1), replace=False)
@@ -295,31 +288,31 @@ def _draft_ajsd(index, fmt, spec, rng):
     scene = JammingScene(background, jammers, victim)
     sig, labels = gen_jamming_scene(scene, duration_us, fs, _seed(rng))
     question, reference = make_ajsd_openqa(labels, seed=_seed(rng))
-    return RecordDraft(sig, question, None, reference, _tag(fmt, "AJSD"), None, labels, 4)
+    return sig, (question, None, reference), labels, 4
 
 
-def _tag(fmt: str, task: str) -> str:
-    return "answer" if fmt == "MCQA" else TASK_TAGS[task].value
+# Each drafter(index, fmt, spec, rng, fs, snr) draws its signal before its QA text and returns
+# (signal, (question, options, answer), ground truth, constellation stride).
+_DRAFTERS = {
+    "SSD": _draft_ssd,
+    "SPE": _draft_spe,
+    "MR": _draft_mr,
+    "PR": _draft_pr,
+    "EI": _draft_ei,
+    "AJSD": _draft_ajsd,
+}
 
 
-def draft_record(task: str, index: int, fmt: str, spec, ei_plan=None) -> RecordDraft:
-    """Draft one record; `ei_plan` carries the (device_sequence, profiles) pair."""
-    sample_id = record_id(task, index)
-    rng = np.random.default_rng(derive_seed(spec.global_seed, sample_id))
-    if task == "SSD":
-        return _draft_ssd(index, fmt, spec, rng)
-    if task == "SPE":
-        return _draft_spe(index, fmt, spec, rng)
-    if task == "MR":
-        return _draft_mr(index, fmt, spec, rng)
-    if task == "PR":
-        return _draft_pr(index, fmt, spec, rng)
-    if task == "EI":
-        device_sequence, profiles = ei_plan
-        return _draft_ei(index, fmt, spec, rng, device_sequence, profiles)
-    if task == "AJSD":
-        return _draft_ajsd(index, fmt, spec, rng)
-    raise ValueError(f"unknown task family {task!r}")
+def draft_record(task: str, index: int, fmt: str, spec) -> RecordDraft:
+    """Draft record `index` of `task` in format `fmt` from the corpus spec alone."""
+    drafter = _DRAFTERS.get(task)
+    if drafter is None:
+        raise ValueError(f"unknown task family {task!r}")
+    rng = np.random.default_rng(derive_seed(spec.global_seed, record_id(task, index)))
+    grid = spec.snr_grids.get(task)
+    snr = record_snr(task, index, grid) if grid else None
+    sig, qa, gt, stride = drafter(index, fmt, spec, rng, spec.sample_rates[task], snr)
+    return RecordDraft(sig, *qa, snr, gt, stride)
 
 
 def record_id(task: str, index: int) -> str:

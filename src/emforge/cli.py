@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,7 +52,6 @@ def _load_spec(args) -> CorpusSpec:
         spec.counts = CorpusSpec.from_total(args.total).counts
     if args.seed is not None:
         spec.global_seed = args.seed
-    spec.validate()
     return spec
 
 
@@ -88,6 +88,10 @@ def _render_signal(args) -> IqSignal:
 
 
 def cmd_render(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("seed", f"must be nonnegative, got {args.seed}")
+    if args.snr is not None and not math.isfinite(args.snr):
+        raise ConfigError("snr", f"must be a finite number of dB, got {args.snr}")
     out_dir = args.out or _default_out()
     os.makedirs(out_dir, exist_ok=True)
     sig = _render_signal(args)

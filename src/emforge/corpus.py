@@ -20,10 +20,9 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
-import numpy as np
-
 from . import builders, png
-from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER
+from .builders import _largest_remainder
+from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER, answer_tag
 
 # perfbench's tracer patches builders.draft_record and, here, _build_one, render_view,
 # encode_png, assign_split, stratified_bench and write_manifest by name: keep them.
@@ -84,21 +83,6 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
-
-
-def _largest_remainder(quotas: list[float], total: int) -> list[int]:
-    floors = [int(q) for q in quotas]
-    remainder = total - sum(floors)
-    order = sorted(range(len(quotas)), key=lambda i: (-(quotas[i] - floors[i]), i))
-    for i in order[:remainder]:
-        floors[i] += 1
-    return floors
-
-
-def _ei_device_counts(total: int, n_devices: int) -> list[int]:
-    """Long-tailed per-device EI record counts: geometric decay 0.75 per device, sums to total."""
-    weights = np.array([0.75**k for k in range(n_devices)])
-    return _largest_remainder((total * weights / weights.sum()).tolist(), total)
 
 
 def desk_scale_counts(total: int) -> dict[str, tuple[int, int]]:
@@ -286,6 +270,9 @@ class ManifestRecord:
             raise ValueError(f"unknown task {self.task!r}")
         if self.format not in ("MCQA", "OpenQA"):
             raise ValueError(f"unknown format {self.format!r}")
+        tag = answer_tag(self.task, self.format).value
+        if self.tag != tag:
+            raise ValueError(f"{self.task} {self.format} records use the {tag} tag")
         if self.format == "MCQA":
             if self.options is None or len(self.options) != 5:
                 raise ValueError("MCQA records carry exactly 5 options")
@@ -293,17 +280,12 @@ class ManifestRecord:
                 raise ValueError(f'MCQA options must include "{UNABLE_TO_ANSWER}"')
             if self.answer not in OPTION_LETTERS:
                 raise ValueError("MCQA answer must be an option letter")
-            if self.tag != TagKind.ANSWER.value:
-                raise ValueError("MCQA records use the answer tag")
-        else:
-            if self.options is not None:
-                raise ValueError("OpenQA records carry no options")
-            if self.tag != TASK_TAGS[self.task].value:
-                raise ValueError(f"{self.task} OpenQA records use the {TASK_TAGS[self.task].value} tag")
-            if self.tag != TagKind.NONE.value and not re.fullmatch(
-                rf"<{self.tag}>.+</{self.tag}>", self.answer, re.DOTALL
-            ):
-                raise ValueError("tagged OpenQA answers must be tag-wrapped")
+        elif self.options is not None:
+            raise ValueError("OpenQA records carry no options")
+        elif self.tag != TagKind.NONE.value and not re.fullmatch(
+            rf"<{self.tag}>.+</{self.tag}>", self.answer, re.DOTALL
+        ):
+            raise ValueError("tagged OpenQA answers must be tag-wrapped")
         if not isinstance(self.ground_truth, dict):
             raise ValueError("ground_truth must be an object")
         if self.task == "SPE" and not all(
@@ -423,7 +405,7 @@ def _build_one(sample_id: str, task: str, fmt: str, draft, spec: CorpusSpec, out
     paths = _view_paths(sample_id)
     hasher = hashlib.sha256()
     if pngs is None:
-        hasher.update(draft.signal.samples.tobytes())
+        hasher.update(draft.signal.samples)
     else:
         for rel_path, data in zip(paths, pngs):
             hasher.update(data)
@@ -441,7 +423,7 @@ def _build_one(sample_id: str, task: str, fmt: str, draft, spec: CorpusSpec, out
         question=draft.question,
         options=draft.options,
         answer=draft.answer,
-        tag=draft.tag,
+        tag=answer_tag(task, fmt).value,
         snr_db=draft.snr_db,
         ground_truth=draft.ground_truth,
         split=assign_split(sample_id, spec.split_salt, spec.bench_fraction),
@@ -455,28 +437,23 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
     A rendered build is a two-stage pipeline. This thread drafts each
     record, renders its views and lays out their PNG scanlines; one
     encoder thread compresses view k while view k+1 renders, with at
-    most one view queued behind it. The PNG bytes come back in
-    VIEW_ORDER and are hashed and written on this thread, so no output
-    byte depends on the encoder. Plan mode renders nothing and starts no
-    thread. Any failure re-raises as a RecordError naming its record,
-    and the encoder thread is joined on every exit.
+    most one view queued behind it. A record's PNG bytes are hashed and
+    written on this thread, in VIEW_ORDER, once the next record's views
+    are submitted, so no output byte depends on the encoder. Plan mode
+    renders nothing and starts no thread. Any failure re-raises as a
+    RecordError naming its record, and the encoder thread is joined on
+    every exit.
     """
     records = []
-    pending = deque()  # (record args, futures) of unfinished records, in job order
+    # The latest submitted views: the encoder runs them in FIFO order, so
+    # once the oldest is done at most _QUEUED_VIEWS are still queued.
+    submitted = deque(maxlen=_QUEUED_VIEWS + 1)
+    previous = None  # (record args, futures) rendered but not yet hashed and written
 
-    def settle(limit: int) -> None:
-        # Wait until at most `limit` views are still compressing or queued,
-        # then finish every leading record whose four PNGs are done.
-        unfinished = [f for _, futures in pending for f in futures if not f.done()]
-        wait(unfinished[: max(0, len(unfinished) - limit)])
-        while pending:
-            args, futures = pending[0]
-            if len(futures) < len(VIEW_ORDER) or not all(f.done() for f in futures):
-                break
-            pending.popleft()
-            with _naming(args[0]):
-                pngs = [f.result() for f in futures]
-                records.append(_build_one(*args, spec, out_dir, pngs))
+    def finish(args, futures) -> None:
+        with _naming(args[0]):
+            pngs = None if futures is None else [f.result() for f in futures]
+            records.append(_build_one(*args, spec, out_dir, pngs))
 
     encoder = (
         ThreadPoolExecutor(max_workers=_ENCODER_THREADS, thread_name_prefix=ENCODER_THREAD_PREFIX)
@@ -484,22 +461,29 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
         else None
     )
     try:
-        for task, index, fmt, ei_plan in jobs:
+        for task, index, fmt in jobs:
             sample_id = builders.record_id(task, index)
             with _naming(sample_id):
-                draft = builders.draft_record(task, index, fmt, spec, ei_plan)
+                draft = builders.draft_record(task, index, fmt, spec)
                 args = (sample_id, task, fmt, draft)
                 if encoder is None:
-                    records.append(_build_one(*args, spec, out_dir, None))
+                    finish(args, None)
                     continue
                 futures = []
-                pending.append((args, futures))
                 params = _render_params(spec, draft.constellation_stride)
                 for kind in VIEW_ORDER:
                     rows = png.scanlines(render_view(draft.signal, kind, params))
-                    settle(_QUEUED_VIEWS)
+                    if len(submitted) == submitted.maxlen:
+                        wait([submitted[0]])
                     futures.append(encoder.submit(png.deflate_scanlines, rows))
-        settle(0)
+                    submitted.append(futures[-1])
+            # The previous record's views were submitted before this record's,
+            # so in FIFO order they are done by now.
+            if previous is not None:
+                finish(*previous)
+            previous = args, futures
+        if previous is not None:
+            finish(*previous)
     finally:
         if encoder is not None:
             encoder.shutdown(wait=True, cancel_futures=True)
@@ -508,15 +492,7 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
 
 def _task_jobs(task: str, spec: CorpusSpec):
     openqa, mcqa = spec.counts.get(task, (0, 0))
-    formats = ["OpenQA"] * openqa + ["MCQA"] * mcqa
-    ei_plan = None
-    if task == "EI" and formats:
-        profiles = builders.make_device_profiles(spec.ei_device_count)
-        sequence = []
-        for dev, n in enumerate(_ei_device_counts(len(formats), len(profiles))):
-            sequence.extend([dev] * n)
-        ei_plan = (tuple(sequence), profiles)
-    return [(task, i, fmt, ei_plan) for i, fmt in enumerate(formats)]
+    return [(task, i, "OpenQA" if i < openqa else "MCQA") for i in range(openqa + mcqa)]
 
 
 def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool = True):
@@ -544,12 +520,9 @@ def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool 
     else:
         records = _build_records(jobs, spec, out_dir, render)
 
-    by_task: dict[str, list] = {}
-    for record in records:
-        by_task.setdefault(record.task, []).append(record)
-    for task, task_records in by_task.items():
-        grid = spec.snr_grids.get(task)
-        if grid and spec.counts.get(task, (0, 0)) != (0, 0):
+    for task, grid in spec.snr_grids.items():
+        task_records = [r for r in records if r.task == task]
+        if task_records:
             bench_ids = stratified_bench(task_records, grid, spec.per_bin_min)
             for record in task_records:
                 record.split = "bench" if record.sample_id in bench_ids else "train"

@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
-from .instrgen import TASK_TAGS, TagKind
+from .instrgen import TagKind, answer_tag
 
 BLEU_EPSILON = 1e-9
 ROUGE_BETA = 1.2
@@ -413,7 +413,7 @@ def record_correctness(record, text: str) -> tuple[bool, bool]:
     SPE OpenQA applies the record's numeric tolerance window, all other
     OpenQA payloads match the canonical label under case folding.
     """
-    tag = TagKind.ANSWER if record.format == "MCQA" else TASK_TAGS[record.task]
+    tag = answer_tag(record.task, record.format)
     payload = parse_tag(text, tag) if text else None
     if payload is None:
         return False, False
@@ -426,7 +426,7 @@ def record_correctness(record, text: str) -> tuple[bool, bool]:
             return False, True
         gt = float(record.ground_truth["value"])
         return abs(value - gt) <= float(record.ground_truth["tolerance"]), True
-    gt = parse_tag(record.answer, TASK_TAGS[record.task])
+    gt = parse_tag(record.answer, tag)
     return payload.strip().lower() == (gt or "").strip().lower(), True
 
 

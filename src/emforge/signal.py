@@ -20,7 +20,7 @@ class IqSignal:
     sample_rate_hz: float
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128).reshape(-1)
         if self.samples.size == 0:
             raise ValueError("IqSignal requires at least one sample")
         if not np.all(np.isfinite(self.samples.view(np.float64))):

@@ -316,12 +316,16 @@ class TestScore:
             (json.dumps({**MANIFEST_RECORD, "answer": 2}), "answer must be a string"),
             (json.dumps({**MANIFEST_RECORD, "content_hash": None}),
              "content_hash must be a string"),
+            (json.dumps({**MANIFEST_RECORD, "tag": "mode"}), "MR MCQA records use the answer tag"),
+            (json.dumps({**SPE_RECORD, "tag": "answer", "answer": "<answer>2.5</answer>",
+                         "ground_truth": {"value": 2.5, "tolerance": 1.0}}),
+             "SPE OpenQA records use the value tag"),
         ],
         ids=[
             "bad-json", "missing-fields", "unknown-task", "unknown-format", "duplicate-id",
             "spe-no-value", "snr-string", "snr-nan", "view-paths-string", "view-path-number",
             "options-string", "sample-id-number", "question-list", "answer-number",
-            "content-hash-null",
+            "content-hash-null", "mcqa-mode-tag", "openqa-answer-tag",
         ],
     )
     def test_malformed_manifest_exit_2(self, tmp_path, capsys, line, message):
@@ -450,6 +454,17 @@ class TestRenderCommand:
             "QAM16_iq_waveform.png",
             "QAM16_stft_spectrogram.png",
         ]
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [(["--seed", "-1"], "seed"), (["--snr", "nan"], "snr"), (["--snr", "inf"], "snr")],
+        ids=["seed-negative", "snr-nan", "snr-inf"],
+    )
+    def test_bad_input_exit_2_before_writing(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "views"
+        assert main(["render", "--kind", "QPSK", *flags, "--out", str(out)]) == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_manifest_exit_2(self, tmp_path):
         code = main(["score", "--manifest", str(tmp_path / "nope.jsonl"),

@@ -1,6 +1,7 @@
 """Counts, splits, stratification, builders' label plumbing, manifest I/O, schemas."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import threading
@@ -267,6 +268,18 @@ class TestBuildCorpus:
             if r.task in ("EI", "AJSD"):
                 assert r.snr_db is None
                 assert r.split == assign_split(r.sample_id, spec.split_salt, spec.bench_fraction)
+
+    def test_plan_hash_is_a_pure_redraft(self):
+        """Every record, EI included, re-drafts from (task, index, format, spec) alone."""
+        spec = _small_spec()
+        train, bench = build_corpus(spec, render=False)
+        assert {r.task for r in train + bench} == set(corpus.TASK_ORDER)
+        for r in train + bench:
+            index = int(r.sample_id.rsplit("-", 1)[1])
+            draft = builders.draft_record(r.task, index, r.format, spec)
+            want = hashlib.sha256(draft.signal.samples.tobytes() + b"\x00" + draft.answer.encode())
+            assert r.content_hash == want.hexdigest(), r.sample_id
+            assert r.answer == draft.answer
 
     def test_worker_pool_output_identical(self):
         spec = _small_spec()

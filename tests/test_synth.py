@@ -1,6 +1,7 @@
 """Signal synthesis: modulators, radar trains, channel, impairments,
 protocol bursts, and jamming scenes against independent oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -400,3 +401,9 @@ class TestIqSignal:
     def test_duration(self):
         sig = IqSignal(np.ones(2000, dtype=complex), 1e6)
         assert sig.duration_s == 2e-3
+
+    def test_samples_c_contiguous_and_hash_like_their_bytes(self):
+        strided = (np.arange(16) + 1j * np.arange(16))[::2]
+        sig = IqSignal(strided, 1e6)
+        assert sig.samples.flags.c_contiguous
+        assert hashlib.sha256(sig.samples).digest() == hashlib.sha256(strided.tobytes()).digest()
