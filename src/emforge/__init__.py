@@ -20,7 +20,6 @@ from .corpus import (
     write_manifest,
 )
 from .instrgen import (
-    DistractorPolicy,
     OptionSet,
     TagKind,
     make_ajsd_openqa,

@@ -58,13 +58,13 @@ SSD_COMM_KINDS = (
 
 MR_KINDS = tuple(ModulationKind)
 
-SPE_PARAMS = ("pulse_width_us", "period_us", "count", "delay_us")
 SPE_PARAM_PHRASES = {
     "pulse_width_us": ("pulse width", "µs"),
     "period_us": ("pulse repetition period", "µs"),
     "count": ("pulse count", "pulses"),
     "delay_us": ("initial time delay", "µs"),
 }
+SPE_PARAMS = tuple(SPE_PARAM_PHRASES)
 SPE_TOLERANCE_US = 1.0
 SPE_COUNT_TOLERANCE = 0.5
 

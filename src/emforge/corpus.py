@@ -27,6 +27,7 @@ from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER, answ
 # perfbench's tracer patches builders.draft_record and, here, _build_one, render_view,
 # encode_png, assign_split, stratified_bench and write_manifest by name: keep them.
 from .png import encode_png  # noqa: F401
+from .synth import PROTOCOL_CLASSES, default_burst_spec
 from .views import RenderParams, StftParams, VIEW_ORDER, render_view
 
 
@@ -49,11 +50,10 @@ TASK_SNR_RANGES_DB = {
     "PR": (-20.0, 18.0),
 }
 
+# Each default grid walks its task's SNR range in 2 dB steps.
 DEFAULT_SNR_GRIDS = {
-    "SSD": tuple(float(s) for s in range(-10, 21, 2)),
-    "SPE": tuple(float(s) for s in range(-20, 21, 2)),
-    "MR": tuple(float(s) for s in range(-20, 19, 2)),
-    "PR": tuple(float(s) for s in range(-20, 19, 2)),
+    task: tuple(float(s) for s in range(int(lo), int(hi) + 1, 2))
+    for task, (lo, hi) in TASK_SNR_RANGES_DB.items()
 }
 
 DEFAULT_SAMPLE_RATES = {
@@ -63,6 +63,27 @@ DEFAULT_SAMPLE_RATES = {
     "PR": 10e6,
     "EI": 10e6,
     "AJSD": 20e6,
+}
+
+# A built task's sample rate must lie in its (low, high] window, where every
+# draw of its generators makes a whole record. A record holds SEGMENT_SAMPLES
+# = 4096 samples, so it lasts 4096 / fs.
+# - SSD: the shortest pulse (2 us) must span more than one sample (at exactly
+#   one, rounding can empty it), and the longest train, 3 periods of 40 us
+#   plus a 10 us pulse = 130 us, must fit (its delay only fills the slack).
+# - SPE: shortest pulse 1 us; longest train 30 us delay + 5 periods of 40 us
+#   + an 8 us pulse = 238 us.
+# - PR: the fastest class (wlan-like, 2 MHz symbols) must sit below Nyquist.
+# - AJSD: a noise-band jammer fs/10 wide and centred up to 5 MHz off must keep
+#   an FFT bin, the highest of which is fs/2 - fs/4096 (about 9.095 MHz).
+# - MR and EI draw at any positive rate.
+SAMPLE_RATE_WINDOWS_HZ = {
+    "SSD": (1 / 2e-6, builders.SEGMENT_SAMPLES / 130e-6),
+    "SPE": (1 / 1e-6, builders.SEGMENT_SAMPLES / 238e-6),
+    "MR": (0.0, math.inf),
+    "PR": (2 * max(default_burst_spec(c).symbol_rate_hz for c in PROTOCOL_CLASSES), math.inf),
+    "EI": (0.0, math.inf),
+    "AJSD": (5e6 / (0.55 - 1 / builders.SEGMENT_SAMPLES), math.inf),
 }
 
 DEFAULT_SPLIT_SALT = "emforge-split-v1"
@@ -151,8 +172,16 @@ class CorpusSpec:
             raise ConfigError("bench_fraction", "must lie in (0, 1)")
         if self.per_bin_min < 0:
             raise ConfigError("per_bin_min", "must be nonnegative")
+        built = {task for task, pair in self.counts.items() if sum(int(c) for c in pair)}
         if self.ei_device_count < 4:
             raise ConfigError("ei_device_count", "need >= 4 devices for MCQA distractors")
+        if "EI" in built:
+            try:
+                builders.make_device_profiles(self.ei_device_count)
+            except ValueError as exc:
+                raise ConfigError(
+                    "ei_device_count", f"cannot make {self.ei_device_count} devices ({exc})"
+                ) from exc
         if not self.split_salt:
             raise ConfigError("split_salt", "must be nonempty")
         for task, grid in self.snr_grids.items():
@@ -167,10 +196,15 @@ class CorpusSpec:
                 raise ConfigError(
                     "snr_grids", f"{task} grid must stay within [{lo:g}, {hi:g}] dB"
                 )
+        for task in TASK_SNR_RANGES_DB:
+            if task in built and task not in self.snr_grids:
+                raise ConfigError("snr_grids", f"{task} records need an SNR grid")
         for task in TASK_ORDER:
             rate = self.sample_rates.get(task, 0)
-            if not (math.isfinite(rate) and rate > 0):
-                raise ConfigError("sample_rates", f"{task} needs a positive finite sample rate")
+            lo, hi = SAMPLE_RATE_WINDOWS_HZ[task] if task in built else (0.0, math.inf)
+            if not (math.isfinite(rate) and lo < rate <= hi):
+                window = f"({lo / 1e6:.4g}, {hi / 1e6:.4g}] MHz"
+                raise ConfigError("sample_rates", f"{task} needs a finite rate in {window}")
         try:
             stft = StftParams(self.stft_window, self.stft_hop)
         except ValueError as exc:

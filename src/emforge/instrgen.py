@@ -2,9 +2,12 @@
 
 MCQA items always carry five options labeled A-E with the literal
 "Unable to answer" pinned at E and the four value options shuffled over
-A-D. Numeric distractors come from multiplicative, offset, and
-random-sampling strategies, with anything closer than min_separation to
-the ground truth removed.
+A-D. Numeric distractors come from multiples of the ground truth
+(DISTRACTOR_FACTORS), offsets from it (DISTRACTOR_OFFSETS) and uniform
+draws relative to it (DISTRACTOR_RANGE); any closer than twice the
+scoring tolerance to the ground truth is rejected. AJSD references
+follow a rule table keyed by the jammer kinds of `synth.JAMMER_KINDS`,
+one clause per jammer in that kind order.
 """
 
 from __future__ import annotations
@@ -14,9 +17,14 @@ from enum import Enum
 
 import numpy as np
 
+from .synth import JAMMER_KINDS
+
 UNABLE_TO_ANSWER = "Unable to answer"
 OPTION_LETTERS = ("A", "B", "C", "D", "E")
 MAX_DISTRACTOR_ATTEMPTS = 200
+DISTRACTOR_FACTORS = (0.5, 2.0, 3.0)
+DISTRACTOR_OFFSETS = (-10.0, -5.0, 5.0, 10.0)
+DISTRACTOR_RANGE = (0.2, 5.0)  # relative to the ground truth
 
 
 class TagKind(str, Enum):
@@ -27,25 +35,6 @@ class TagKind(str, Enum):
     PROTOCOL = "protocol"
     DEVICE = "device"
     NONE = "none"
-
-
-@dataclass(frozen=True)
-class DistractorPolicy:
-    multiplicative_factors: tuple = (0.5, 2.0, 3.0)
-    offsets: tuple = (-10.0, -5.0, 5.0, 10.0)
-    random_range: tuple = (0.2, 5.0)  # relative to the ground truth
-    min_separation: float = 2.0
-
-    def __post_init__(self):
-        if self.min_separation <= 0:
-            raise ValueError("min_separation must be positive")
-        if any(f == 1.0 for f in self.multiplicative_factors):
-            raise ValueError("factor 1.0 is excluded")
-        if any(o == 0.0 for o in self.offsets):
-            raise ValueError("offset 0 is excluded")
-        lo, hi = self.random_range
-        if not 0 < lo < hi:
-            raise ValueError("random_range must be an increasing positive interval")
 
 
 @dataclass(frozen=True)
@@ -91,30 +80,27 @@ def _assemble(values: list[str], correct_text: str, rng: np.random.Generator) ->
 
 
 def make_mcqa_numeric(
-    gt: float,
-    tolerance: float,
-    policy: DistractorPolicy | None = None,
-    seed: int = 0,
-    integer: bool = False,
+    gt: float, tolerance: float, seed: int = 0, integer: bool = False
 ) -> OptionSet:
     """Four numeric options (one correct) plus "Unable to answer".
 
-    Every distractor d satisfies |d - gt| >= policy.min_separation, which
-    callers keep at 2x the scoring tolerance so the correctness window
-    can never capture a distractor. One distractor is drawn from each of
-    the multiplicative / offset / random strategies when possible.
+    Every distractor d satisfies |d - gt| >= 2 * tolerance, so the
+    correctness window can never capture a distractor. One distractor
+    comes from the factors and one from the offsets when any is
+    admissible; uniform draws over DISTRACTOR_RANGE times the ground
+    truth fill the rest.
     """
     if not np.isfinite(gt):
         raise ValueError("ground truth must be finite")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    policy = policy or DistractorPolicy(min_separation=2.0 * tolerance)
+    min_separation = 2.0 * tolerance
     rng = np.random.default_rng(seed)
 
     correct_text = canonical_number(gt, integer)
 
     def admissible(value: float, taken: list[float]) -> bool:
-        if not np.isfinite(value) or value <= 0 or abs(value - gt) < policy.min_separation:
+        if not np.isfinite(value) or value <= 0 or abs(value - gt) < min_separation:
             return False
         text = canonical_number(value, integer)
         return text != correct_text and all(
@@ -122,13 +108,13 @@ def make_mcqa_numeric(
         )
 
     def draw_random() -> float:
-        lo, hi = policy.random_range
+        lo, hi = DISTRACTOR_RANGE
         value = float(rng.uniform(lo * gt, hi * gt))
         return float(round(value)) if integer else round(value, 2)
 
     pools = [
-        [gt * f for f in policy.multiplicative_factors],
-        [gt + o for o in policy.offsets],
+        [gt * f for f in DISTRACTOR_FACTORS],
+        [gt + o for o in DISTRACTOR_OFFSETS],
     ]
     distractors: list[float] = []
     for pool in pools:
@@ -141,7 +127,7 @@ def make_mcqa_numeric(
         if attempts > MAX_DISTRACTOR_ATTEMPTS:
             raise ValueError(
                 f"could not build 3 separated distractors for gt={gt} "
-                f"(min_separation={policy.min_separation})"
+                f"(min_separation={min_separation})"
             )
         value = draw_random()
         if admissible(value, distractors):
@@ -281,8 +267,6 @@ def make_mcqa_question(task: str, seed: int = 0, **fmt) -> str:
 # Anti-jamming references: a fixed rule table keyed by jammer kind.
 # ---------------------------------------------------------------------------
 
-_KIND_ORDER = ("tone", "multitone", "noise-band", "lfm-sweep", "phase-code")
-
 _EVIDENCE = {
     "tone": "a narrowband tone at {mhz} MHz seen as one dominant spectral peak",
     "multitone": "a cluster of tones around {mhz} MHz seen as several dominant peaks",
@@ -317,7 +301,7 @@ def make_ajsd_openqa(scene_labels: dict, seed: int = 0) -> tuple[str, str]:
     question = _pick(AJSD_TEMPLATES, seed)
     jammers = scene_labels.get("jammers", [])
     for j in jammers:
-        if j["kind"] not in _KIND_ORDER:
+        if j["kind"] not in JAMMER_KINDS:
             raise ValueError(f"unknown jammer kind {j['kind']!r}")
 
     if not jammers:
@@ -329,7 +313,7 @@ def make_ajsd_openqa(scene_labels: dict, seed: int = 0) -> tuple[str, str]:
         return question, reference
 
     ordered = sorted(
-        jammers, key=lambda j: (_KIND_ORDER.index(j["kind"]), j["center_offset_hz"])
+        jammers, key=lambda j: (JAMMER_KINDS.index(j["kind"]), j["center_offset_hz"])
     )
     evidence = "; ".join(
         _EVIDENCE[j["kind"]].format(mhz=_mhz(j["center_offset_hz"])) for j in ordered

@@ -25,8 +25,8 @@ the candidate's TF-IDF norm together. Only one reference's counters are
 alive at a time; scores come back in record order. ROUGE-L's LCS length
 is bit-parallel over Python ints (Allison & Dix 1986; Hyyrö 2004);
 METEOR looks each token, then each stem, up in a map to its unused
-reference positions. `score_predictions`, `bleu4` and `cider` run
-`_text_scores`; `rouge_l` and `meteor` run its kernels on one pair.
+reference positions. `score_predictions` and all four public metrics
+run `_text_scores`: `bleu4`, `rouge_l` and `meteor` as a one-pair corpus.
 Every per-item formula keeps one order of operations (float sums run
 left to right over the candidate's, or the reference's, n-grams in
 first-occurrence order) and corpus means are sums of per-item lists in
@@ -128,10 +128,10 @@ def _rouge_l(cand: list, ref: list) -> float:
 
 def rouge_l(candidate: str, reference: str) -> float:
     """LCS-based F-measure with beta weighting recall."""
-    return _rouge_l(tokenize(candidate), tokenize(reference))
+    return _text_scores([reference], [candidate])[0][1]
 
 
-def _meteor_alignment(cand: list, ref: list, stem=_stem) -> list[tuple[int, int]]:
+def _meteor_alignment(cand: list, ref: list, stem) -> list[tuple[int, int]]:
     """Greedy two-stage alignment: exact matches first, then stem matches.
 
     Each pass walks the candidate left to right and takes the earliest
@@ -156,7 +156,7 @@ def _meteor_alignment(cand: list, ref: list, stem=_stem) -> list[tuple[int, int]
     return sorted(pairs.items())
 
 
-def _meteor(cand: list, ref: list, stem=_stem) -> float:
+def _meteor(cand: list, ref: list, stem) -> float:
     if not cand or not ref:
         return 0.0
     pairs = _meteor_alignment(cand, ref, stem)
@@ -176,7 +176,7 @@ def _meteor(cand: list, ref: list, stem=_stem) -> float:
 
 def meteor(candidate: str, reference: str) -> float:
     """Harmonic-mean F with a fragmentation (chunk) penalty."""
-    return _meteor(tokenize(candidate), tokenize(reference))
+    return _text_scores([reference], [candidate])[0][2]
 
 
 def _idf_tables(refs: list, n_docs: int) -> list[dict]:

@@ -60,7 +60,7 @@ def measure_snr(noisy: IqSignal, clean: IqSignal) -> float:
     p_clean = signal_power(clean)
     if p_clean == 0.0:
         raise ValueError("clean signal has zero power; SNR undefined")
-    p_resid = float(np.mean(np.abs(noisy.samples - clean.samples) ** 2))
+    p_resid = signal_power(noisy.samples - clean.samples)
     if p_resid == 0.0:
         return math.inf
     return 10.0 * math.log10(p_clean / p_resid)

@@ -23,43 +23,8 @@ from .protocol import (
 )
 from .radar import (
     Cw,
-    IntraPulse,
     Lfm,
-    PhaseCode,
     RadarPulseSpec,
     gen_radar_pulse_train,
     pulse_support_indices,
 )
-
-__all__ = [
-    "ANALOG_KINDS",
-    "BITS_PER_SYMBOL",
-    "CFO_CARRIER_FRACTION",
-    "CPM_KINDS",
-    "Cw",
-    "DeviceProfile",
-    "IntraPulse",
-    "JAMMER_KINDS",
-    "Jammer",
-    "JammingScene",
-    "LINEAR_KINDS",
-    "Lfm",
-    "ModulationKind",
-    "PROTOCOL_CLASSES",
-    "PhaseCode",
-    "ProtocolBurstSpec",
-    "RadarPulseSpec",
-    "apply_awgn",
-    "apply_device_profile",
-    "complex_gaussian",
-    "constellation",
-    "cyclic_filter",
-    "default_burst_spec",
-    "gen_jamming_scene",
-    "gen_noise",
-    "gen_protocol_burst",
-    "gen_radar_pulse_train",
-    "modulate",
-    "pulse_support_indices",
-    "rrc_taps",
-]

@@ -64,7 +64,7 @@ def _background(scene: JammingScene, n: int, fs: float, rng: np.random.Generator
     else:
         burst = default_burst_spec("wlan-like")
         sig = gen_protocol_burst(burst, duration_us, fs, seed=int(rng.integers(2**31))).samples[:n]
-    sig = sig / np.sqrt(np.mean(np.abs(sig) ** 2))
+    sig = sig / np.sqrt(signal_power(sig))
     return sig + np.sqrt(10.0 ** (-BACKGROUND_SNR_DB / 10.0)) * noise
 
 
@@ -116,7 +116,7 @@ def gen_jamming_scene(
     p_bg = signal_power(x)
     for j in scene.jammers:
         w = _jammer_waveform(j, n, sample_rate_hz, rng)
-        p_w = np.mean(np.abs(w) ** 2)
+        p_w = signal_power(w)
         target = p_bg * 10.0 ** (j.power_db_rel / 10.0)
         x = x + w * np.sqrt(target / p_w)
 

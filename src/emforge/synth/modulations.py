@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..signal import IqSignal
+from ..signal import IqSignal, signal_power
 
 
 class ModulationKind(str, Enum):
@@ -252,7 +252,7 @@ def modulate(
         raise ValueError(f"unsupported modulation kind: {kind!r}")
 
     x = np.asarray(x, dtype=complex)
-    power = np.mean(np.abs(x) ** 2)
+    power = signal_power(x)
     if power == 0.0:
         raise ValueError("modulation produced a zero-power signal")
     x /= np.sqrt(power)

@@ -14,15 +14,6 @@ import numpy as np
 
 from ..signal import IqSignal
 
-PROTOCOL_CLASSES = (
-    "bluetooth-like",
-    "wlan-like",
-    "wpan-like",
-    "avionics-ranging-like",
-    "surveying-like",
-    "beacon-like",
-)
-
 _CLASS_DEFAULTS = {
     # symbol_rate_hz, preamble_len, hop_pattern (Hz offsets), burst_gap_us, payload_len
     "bluetooth-like": (1.0e6, 8, (-2.0e6, 0.0, 2.0e6), 60.0, 32),
@@ -32,6 +23,7 @@ _CLASS_DEFAULTS = {
     "surveying-like": (0.25e6, 12, (-1.0e6, 1.0e6), 80.0, 16),
     "beacon-like": (0.125e6, 16, None, 200.0, 12),
 }
+PROTOCOL_CLASSES = tuple(_CLASS_DEFAULTS)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Radar pulse-train generation with CW, LFM, and phase-coded fills."""
+"""Radar pulse-train generation.
+
+Pulses carry a unit envelope with a CW (constant) or LFM (linear chirp)
+fill, the two fills the SSD and SPE records draw; the AJSD radar
+background uses CW.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..signal import IqSignal
-
-BARKER13 = (1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1)
 
 
 @dataclass(frozen=True)
@@ -26,24 +29,12 @@ class Lfm:
 
 
 @dataclass(frozen=True)
-class PhaseCode:
-    chips: tuple = BARKER13
-
-    def __post_init__(self):
-        if len(self.chips) == 0 or any(c not in (-1, 1) for c in self.chips):
-            raise ValueError("phase code chips must be a nonempty +/-1 sequence")
-
-
-IntraPulse = Cw | Lfm | PhaseCode
-
-
-@dataclass(frozen=True)
 class RadarPulseSpec:
     pulse_width_us: float
     period_us: float
     count: int
     delay_us: float = 0.0
-    intra_pulse: IntraPulse = field(default_factory=Cw)
+    intra_pulse: Cw | Lfm = field(default_factory=Cw)
 
     def __post_init__(self):
         if self.pulse_width_us <= 0 or self.period_us <= 0:
@@ -75,7 +66,7 @@ def pulse_support_indices(spec: RadarPulseSpec, sample_rate_hz: float) -> list[t
     return spans
 
 
-def _fill(intra: IntraPulse, n: int, pulse_width_us: float, sample_rate_hz: float) -> np.ndarray:
+def _fill(intra: Cw | Lfm, n: int, pulse_width_us: float, sample_rate_hz: float) -> np.ndarray:
     if isinstance(intra, Cw):
         return np.ones(n, dtype=complex)
     if isinstance(intra, Lfm):
@@ -85,10 +76,6 @@ def _fill(intra: IntraPulse, n: int, pulse_width_us: float, sample_rate_hz: floa
         rate = intra.sweep_hz / width_s
         phase = 2 * np.pi * (-0.5 * intra.sweep_hz * t + 0.5 * rate * t**2)
         return np.exp(1j * phase)
-    if isinstance(intra, PhaseCode):
-        chips = np.asarray(intra.chips, dtype=float)
-        idx = np.minimum((np.arange(n) * chips.size) // max(n, 1), chips.size - 1)
-        return chips[idx].astype(complex)
     raise ValueError(f"unsupported intra-pulse fill: {intra!r}")
 
 

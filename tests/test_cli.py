@@ -139,6 +139,17 @@ class TestBuild:
             # Keys that start with "--" are command-line flags, not config fields.
             ({"--workers": 0}, "workers"),
             ({"--workers": -3}, "workers"),
+            # Rates a built task's generators cannot draw at: below Nyquist for
+            # PR's 2 MHz symbols, a noise-band jammer outside the band, empty
+            # SPE pulses, and pulse trains longer than the record.
+            ({"sample_rates": {"PR": 1e6}}, "sample_rates"),
+            ({"sample_rates": {"AJSD": 3e6}}, "sample_rates"),
+            ({"sample_rates": {"AJSD": 8e6}}, "sample_rates"),
+            ({"sample_rates": {"SPE": 1e3}}, "sample_rates"),
+            ({"sample_rates": {"SPE": 20e6}}, "sample_rates"),
+            ({"sample_rates": {"SSD": 40e6}}, "sample_rates"),
+            # Device 16 would need a 10.1 degree phase skew.
+            ({"ei_device_count": 17}, "ei_device_count"),
         ],
     )
     def test_config_error_exit_2_before_writing(self, tmp_path, capsys, overrides, field):

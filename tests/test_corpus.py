@@ -3,8 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +367,45 @@ class TestConfigValidation:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError):
             CorpusSpec.from_dict({"ghost_field": 1})
+
+    def test_gridded_task_without_grid_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError) as err:
+            build_corpus(CorpusSpec(counts={"MR": (0, 4)}, snr_grids={}), out, render=False)
+        assert err.value.field == "snr_grids"
+        assert not out.exists()
+
+    def test_sample_rate_outside_window_only_matters_when_built(self):
+        spec = CorpusSpec(counts={"MR": (0, 4)}, per_bin_min=0)
+        spec.sample_rates["PR"] = 1e6
+        spec.validate()
+        spec.counts["PR"] = (0, 1)
+        with pytest.raises(ConfigError) as err:
+            spec.validate()
+        assert err.value.field == "sample_rates"
+
+    @pytest.mark.parametrize("task", ["SSD", "SPE", "PR", "AJSD"])
+    def test_sample_rate_window_edges_draw_whole_records(self, task):
+        # Just inside each end of the window every draft has finite samples
+        # and, for the radar tasks, a pulse train that fits the record.
+        lo, hi = corpus.SAMPLE_RATE_WINDOWS_HZ[task]
+        fmt = "MCQA" if task == "PR" else "OpenQA"
+        for rate in (lo * (1 + 1e-9), hi if math.isfinite(hi) else 4 * lo):
+            spec = CorpusSpec(global_seed=3)
+            spec.sample_rates[task] = rate
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for index in range(24):
+                    draft = builders.draft_record(task, index, fmt, spec)
+                    assert len(draft.signal) == builders.SEGMENT_SAMPLES
+
+    def test_ei_device_count_beyond_the_inventory_rejected(self):
+        spec = CorpusSpec(counts={"EI": (0, 40)}, ei_device_count=16)
+        spec.validate()
+        spec.ei_device_count = 17
+        with pytest.raises(ConfigError) as err:
+            spec.validate()
+        assert err.value.field == "ei_device_count"
 
     def test_roundtrip_through_dict(self):
         spec = _small_spec()

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from emforge import instrgen
 from emforge.instrgen import (
-    DistractorPolicy,
+    DISTRACTOR_FACTORS,
+    DISTRACTOR_OFFSETS,
     OPTION_LETTERS,
     UNABLE_TO_ANSWER,
     canonical_number,
@@ -15,6 +17,7 @@ from emforge.instrgen import (
     make_mcqa_numeric,
     make_openqa,
 )
+from emforge.synth import JAMMER_KINDS
 
 MR_UNIVERSE = [
     "AM-DSB", "AM-SSB", "WBFM", "BPSK", "QPSK", "8PSK",
@@ -24,9 +27,13 @@ MR_UNIVERSE = [
 
 class TestNumericMcqa:
     def test_factor_rule_forced(self):
-        policy = DistractorPolicy((2.0,), (-5.0, 5.0), (0.2, 5.0), min_separation=2.0)
-        options = make_mcqa_numeric(10.0, 1.0, policy, seed=0)
-        assert "20.0" in options.texts
+        # At gt 40 every factor multiple (20, 80, 120) is admissible and none
+        # is an offset value (30, 35, 45, 50), so each item holds one of them.
+        factor_texts = {canonical_number(40.0 * f) for f in DISTRACTOR_FACTORS}
+        assert not factor_texts & {canonical_number(40.0 + o) for o in DISTRACTOR_OFFSETS}
+        for seed in range(50):
+            options = make_mcqa_numeric(40.0, 1.0, seed=seed)
+            assert factor_texts & set(options.texts)
 
     def test_structure(self):
         options = make_mcqa_numeric(10.0, 1.0, seed=3)
@@ -58,18 +65,10 @@ class TestNumericMcqa:
         assert a == b
 
     def test_impossible_separation_errors(self):
-        # Random range trapped inside the exclusion zone.
-        policy = DistractorPolicy((1.001,), (0.0001, -0.0001), (0.999, 1.001), 5.0)
+        # At gt 0.5 every factor multiple and every random draw (0.1-2.5) lies
+        # within 2 of the truth; only the offsets 5.5 and 10.5 qualify.
         with pytest.raises(ValueError, match="distractors"):
-            make_mcqa_numeric(1.0, 1.0, policy, seed=0)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            DistractorPolicy(multiplicative_factors=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            DistractorPolicy(offsets=(0.0, 5.0))
-        with pytest.raises(ValueError):
-            DistractorPolicy(min_separation=0.0)
+            make_mcqa_numeric(0.5, 1.0)
 
 
 class TestCategoricalMcqa:
@@ -165,6 +164,10 @@ class TestAjsdReference:
             labels = {"jammers": [{"kind": kind, "power_db_rel": 10.0, "center_offset_hz": 1e6}]}
             _, ref = make_ajsd_openqa(labels, seed=3)
             assert len(ref.split()) > 15
+
+    def test_rule_tables_keyed_by_synth_jammer_kinds(self):
+        assert tuple(instrgen._EVIDENCE) == JAMMER_KINDS
+        assert tuple(instrgen._STRATEGY) == JAMMER_KINDS
 
     def test_unknown_kind_errors(self):
         labels = {"jammers": [{"kind": "flooding", "power_db_rel": 1.0, "center_offset_hz": 0.0}]}

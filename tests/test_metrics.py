@@ -337,7 +337,7 @@ class TestMeteor:
             cand = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
             ref = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
             want = oracle_meteor_alignment(cand, ref)
-            assert _meteor_alignment(cand, ref) == want
+            assert _meteor_alignment(cand, ref, _stem) == want
             vocab = _Vocab()
             ids = vocab.intern(" ".join(ref)), vocab.intern(" ".join(cand))
             assert _meteor_alignment(ids[1], ids[0], vocab.stem_of.__getitem__) == want

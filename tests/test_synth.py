@@ -17,7 +17,6 @@ from emforge.synth import (
     JammingScene,
     Lfm,
     ModulationKind,
-    PhaseCode,
     ProtocolBurstSpec,
     RadarPulseSpec,
     apply_awgn,
@@ -167,14 +166,6 @@ class TestRadar:
         ridge = freqs[np.argmax(mat[:, :n_on_frames], axis=0)]
         assert np.all(np.diff(ridge) >= 0)  # monotone sweep
         assert ridge[-1] - ridge[0] > 0.6 * sweep
-
-    def test_phase_code_fill_is_binary(self):
-        sig = gen_radar_pulse_train(
-            RadarPulseSpec(13.0, 30.0, 1, 0.0, PhaseCode()), 30.0, 10e6
-        )
-        on = sig.samples[np.abs(sig.samples) > 0]
-        assert set(np.round(on.real).astype(int)) == {-1, 1}
-        assert np.allclose(on.imag, 0.0)
 
     def test_train_exceeding_duration_errors(self):
         with pytest.raises(ValueError, match="beyond"):
