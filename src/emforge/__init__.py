@@ -5,7 +5,7 @@ renders the four canonical views, emits OpenQA/MCQA instruction records,
 builds SNR-stratified leak-free splits, and scores prediction files.
 """
 
-from .budget import LmBatch, PackingLayout, StageConfig, STAGES, check_budget, lm_loss, pack_views, seq_logprob
+from .budget import PackingLayout, StageConfig, STAGES, check_budget, pack_views
 from .corpus import (
     ConfigError,
     CorpusSpec,

@@ -1,19 +1,18 @@
-"""Multi-view token packing and sequence log-probability arithmetic.
+"""Multi-view token packing and the training schedule's sequence budget.
 
 Reference arithmetic only: views are represented by their token counts,
 spans are separated by one boundary token each and carry a view-index id,
 and the stage table pins the training schedule's caps (vision tokens per
-view, view counts, grid, max sequence length).
+view, view counts, grid, max sequence length). `emforge budget` checks
+each stage's largest layout, every view at its cap, beside a reserved
+prompt of RESERVED_PROMPT_TOKENS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 TOKENS_PER_VIEW = 729
-BASE_RESOLUTION = 384
 RESERVED_PROMPT_TOKENS = 256
 
 
@@ -24,7 +23,6 @@ class StageConfig:
     grid: tuple
     max_seq_len: int
     tokens_per_view: int = TOKENS_PER_VIEW
-    resolution: int = BASE_RESOLUTION
 
 
 STAGES = {
@@ -105,41 +103,10 @@ def check_budget(
     return BudgetVerdict(used <= stage.max_seq_len, stage.max_seq_len - used, used, stage.max_seq_len)
 
 
-@dataclass
-class LmBatch:
-    """Per-step log-probability rows and the target token ids.
-
-    Each row must be a valid log-distribution (logsumexp 0 within 1e-6).
-    """
-
-    step_logprobs: np.ndarray  # (L, V)
-    targets: np.ndarray  # (L,)
-
-    def __post_init__(self):
-        self.step_logprobs = np.asarray(self.step_logprobs, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=int)
-        if self.step_logprobs.ndim != 2:
-            raise ValueError("step_logprobs must be an (L, V) matrix")
-        L, V = self.step_logprobs.shape
-        if self.targets.shape != (L,):
-            raise ValueError("targets must have one token id per step")
-        if np.any(self.targets < 0) or np.any(self.targets >= V):
-            raise ValueError("targets must lie in [0, V)")
-        peak = self.step_logprobs.max(axis=1, keepdims=True)
-        lse = peak[:, 0] + np.log(np.exp(self.step_logprobs - peak).sum(axis=1))
-        if np.any(np.abs(lse) > 1e-6):
-            raise ValueError("each row must be a log-distribution (logsumexp 0 within 1e-6)")
-
-
-def seq_logprob(batch: LmBatch) -> float:
-    """Log of the autoregressive product: sum of target log-probabilities."""
-    rows = np.arange(batch.targets.size)
-    return float(batch.step_logprobs[rows, batch.targets].sum())
-
-
-def lm_loss(batch: LmBatch) -> float:
-    """Negative sequence log-probability; nonnegative."""
-    return -seq_logprob(batch)
+def largest_layout(stage: StageConfig) -> tuple[PackingLayout, BudgetVerdict]:
+    """The stage's largest layout (max_views full views) and its fit beside the reserved prompt."""
+    layout = pack_views([stage.tokens_per_view] * stage.max_views)
+    return layout, check_budget(layout, RESERVED_PROMPT_TOKENS, 0, stage)
 
 
 def stage_table() -> str:
@@ -149,8 +116,7 @@ def stage_table() -> str:
         f"{'layout':>7s} {'max_seq':>8s} {'verdict':>20s}"
     ]
     for stage in STAGES.values():
-        layout = pack_views([stage.tokens_per_view] * stage.max_views)
-        verdict = check_budget(layout, RESERVED_PROMPT_TOKENS, 0, stage)
+        layout, verdict = largest_layout(stage)
         status = f"fits, slack {verdict.slack}" if verdict.fits else "exceeds"
         grid = f"{stage.grid[0]}x{stage.grid[1]}"
         lines.append(

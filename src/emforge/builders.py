@@ -68,6 +68,10 @@ SPE_PARAMS = tuple(SPE_PARAM_PHRASES)
 SPE_TOLERANCE_US = 1.0
 SPE_COUNT_TOLERANCE = 0.5
 
+# LFM pulse fills sweep their whole span about the carrier.
+SSD_LFM_SWEEPS_HZ = (1e6, 2e6, 4e6)
+SPE_LFM_SWEEPS_HZ = (1e6, 2e6)
+
 SEGMENT_SAMPLES = 4096
 MR_SAMPLES = 1024
 MR_SPS = 8
@@ -84,6 +88,8 @@ AJSD_ARCHETYPES = (
     ("tone", "lfm-sweep"),
     ("noise-band", "phase-code"),
 )
+# Jammer centres lie on a 0.5 MHz grid within this offset of the carrier.
+AJSD_MAX_OFFSET_MHZ = 5.0
 
 _EI_FAMILIES = ("x310", "b210", "n210")
 
@@ -188,7 +194,7 @@ def _draft_ssd(index, fmt, spec, rng, fs, snr):
             count = int(rng.integers(2, 5))
             max_delay = duration_us - ((count - 1) * period + pw)
             delay = float(rng.choice(np.arange(0.0, max(max_delay, 1.0), 1.0)))
-            fill = Lfm(float(rng.choice([1e6, 2e6, 4e6]))) if rng.integers(2) else Cw()
+            fill = Lfm(float(rng.choice(SSD_LFM_SWEEPS_HZ))) if rng.integers(2) else Cw()
             clean = gen_radar_pulse_train(
                 RadarPulseSpec(pw, period, count, delay, fill), duration_us, fs
             )
@@ -207,7 +213,7 @@ def _draft_spe(index, fmt, spec, rng, fs, snr):
     period = float(rng.choice(np.arange(10.0, 41.0, 1.0)))
     count = int(rng.integers(2, 7))
     delay = float(rng.choice(np.arange(2.0, 31.0, 1.0)))
-    fill = Lfm(float(rng.choice([1e6, 2e6]))) if rng.integers(3) == 0 else Cw()
+    fill = Lfm(float(rng.choice(SPE_LFM_SWEEPS_HZ))) if rng.integers(3) == 0 else Cw()
     pulse_spec = RadarPulseSpec(pw, period, count, delay, fill)
     sig = apply_awgn(gen_radar_pulse_train(pulse_spec, duration_us, fs), snr, _seed(rng))
 
@@ -275,7 +281,8 @@ def _draft_ajsd(index, fmt, spec, rng, fs, snr):
         raise ValueError("AJSD records are OpenQA only")
     duration_us = SEGMENT_SAMPLES / fs * 1e6
     kinds = AJSD_ARCHETYPES[index % len(AJSD_ARCHETYPES)]
-    offsets_mhz = rng.choice(np.arange(-5.0, 5.5, 0.5), size=max(len(kinds), 1), replace=False)
+    grid_mhz = np.arange(-AJSD_MAX_OFFSET_MHZ, AJSD_MAX_OFFSET_MHZ + 0.5, 0.5)
+    offsets_mhz = rng.choice(grid_mhz, size=max(len(kinds), 1), replace=False)
     jammers = tuple(
         Jammer(kind, float(rng.choice([5.0, 10.0, 15.0])), float(offsets_mhz[i]) * 1e6)
         for i, kind in enumerate(kinds)

@@ -18,7 +18,9 @@ import numpy as np
 from . import budget as budget_mod
 from . import metrics
 from .builders import modulated_payload
-from .corpus import ConfigError, CorpusSpec, build_corpus, build_summary, read_manifest
+from .corpus import (
+    ConfigError, CorpusSpec, build_corpus, build_summary, desk_scale_counts, read_manifest,
+)
 from .png import encode_png
 from .signal import IqSignal
 from .synth import (
@@ -44,12 +46,10 @@ def _load_spec(args) -> CorpusSpec:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             spec = CorpusSpec.from_dict(json.load(fh))
-    elif args.total is not None:
-        spec = CorpusSpec.from_total(args.total)
     else:
         spec = CorpusSpec.default_desk()
-    if args.total is not None and args.config:
-        spec.counts = CorpusSpec.from_total(args.total).counts
+    if args.total is not None:
+        spec.counts = desk_scale_counts(args.total)
     if args.seed is not None:
         spec.global_seed = args.seed
     return spec
@@ -154,8 +154,7 @@ def cmd_budget(args) -> int:
     if args.stage not in budget_mod.STAGES:
         raise ConfigError("stage", f"stage must be one of {sorted(budget_mod.STAGES)}")
     stage = budget_mod.STAGES[args.stage]
-    layout = budget_mod.pack_views([stage.tokens_per_view] * stage.max_views)
-    verdict = budget_mod.check_budget(layout, budget_mod.RESERVED_PROMPT_TOKENS, 0, stage)
+    layout, verdict = budget_mod.largest_layout(stage)
     status = "fits" if verdict.fits else "exceeds"
     print(
         f"stage {stage.stage}: {stage.max_views} view(s) x {stage.tokens_per_view} tokens "

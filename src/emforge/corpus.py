@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
+from typing import get_type_hints
 
 from . import builders, png
 from .builders import _largest_remainder
@@ -28,6 +29,7 @@ from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER, answ
 # encode_png, assign_split, stratified_bench and write_manifest by name: keep them.
 from .png import encode_png  # noqa: F401
 from .synth import PROTOCOL_CLASSES, default_burst_spec
+from .synth.jamming import SWEEP_SPAN_FRACTION
 from .views import RenderParams, StftParams, VIEW_ORDER, render_view
 
 
@@ -66,28 +68,39 @@ DEFAULT_SAMPLE_RATES = {
 }
 
 # A built task's sample rate must lie in its (low, high] window, where every
-# draw of its generators makes a whole record. A record holds SEGMENT_SAMPLES
-# = 4096 samples, so it lasts 4096 / fs.
+# draw of its generators makes a whole record whose labelled components stay
+# inside the band, -fs/2 to fs/2. A record holds SEGMENT_SAMPLES = 4096
+# samples, so it lasts 4096 / fs.
 # - SSD: the shortest pulse (2 us) must span more than one sample (at exactly
-#   one, rounding can empty it), and the longest train, 3 periods of 40 us
-#   plus a 10 us pulse = 130 us, must fit (its delay only fills the slack).
-# - SPE: shortest pulse 1 us; longest train 30 us delay + 5 periods of 40 us
-#   + an 8 us pulse = 238 us.
-# - PR: the fastest class (wlan-like, 2 MHz symbols) must sit below Nyquist.
-# - AJSD: a noise-band jammer fs/10 wide and centred up to 5 MHz off must keep
-#   an FFT bin, the highest of which is fs/2 - fs/4096 (about 9.095 MHz).
+#   one, rounding can empty it), and the widest LFM fill (4 MHz) must fit the
+#   band; the longest train, 3 periods of 40 us plus a 10 us pulse = 130 us,
+#   must fit the record (its delay only fills the slack).
+# - SPE: shortest pulse 1 us, widest LFM fill 2 MHz; longest train 30 us delay
+#   + 5 periods of 40 us + an 8 us pulse = 238 us.
+# - PR: every class's hops plus its symbol rate must sit below Nyquist
+#   (bluetooth-like, 1 MHz symbols hopping to +-2 MHz: fs > 6 MHz).
+# - AJSD: a jammer centred up to 5 MHz off must keep its whole extent in the
+#   band. The widest is the LFM sweep, SWEEP_SPAN_FRACTION * fs wide (fs/16
+#   each side; noise-band and phase-code reach fs/20, multitone fs/64), so
+#   fs > 5 MHz / (1/2 - 1/16), about 11.43 MHz.
 # - MR and EI draw at any positive rate.
+_PR_MAX_EXTENT_HZ = max(
+    max(map(abs, spec.hop_pattern or (0.0,))) + spec.symbol_rate_hz
+    for spec in map(default_burst_spec, PROTOCOL_CLASSES)
+)
 SAMPLE_RATE_WINDOWS_HZ = {
-    "SSD": (1 / 2e-6, builders.SEGMENT_SAMPLES / 130e-6),
-    "SPE": (1 / 1e-6, builders.SEGMENT_SAMPLES / 238e-6),
+    "SSD": (max(1 / 2e-6, max(builders.SSD_LFM_SWEEPS_HZ)), builders.SEGMENT_SAMPLES / 130e-6),
+    "SPE": (max(1 / 1e-6, max(builders.SPE_LFM_SWEEPS_HZ)), builders.SEGMENT_SAMPLES / 238e-6),
     "MR": (0.0, math.inf),
-    "PR": (2 * max(default_burst_spec(c).symbol_rate_hz for c in PROTOCOL_CLASSES), math.inf),
+    "PR": (2 * _PR_MAX_EXTENT_HZ, math.inf),
     "EI": (0.0, math.inf),
-    "AJSD": (5e6 / (0.55 - 1 / builders.SEGMENT_SAMPLES), math.inf),
+    "AJSD": (builders.AJSD_MAX_OFFSET_MHZ * 1e6 / (0.5 - SWEEP_SPAN_FRACTION / 2), math.inf),
 }
 
 DEFAULT_SPLIT_SALT = "emforge-split-v1"
 TASK_ORDER = tuple(BENCH_COMPOSITION)
+# Record formats, in the order per-task report rows list them.
+FORMATS = ("MCQA", "OpenQA")
 
 # Each build process runs one PNG encoder thread, with one view queued
 # behind the view it compresses: more threads or a deeper queue bought no
@@ -123,12 +136,7 @@ def desk_scale_counts(total: int) -> dict[str, tuple[int, int]]:
 def task_format_split(task: str, n: int) -> tuple[int, int]:
     """Split n records of one task into (OpenQA, MCQA) at its table ratio."""
     openqa, mcqa = BENCH_COMPOSITION[task]
-    if openqa == 0:
-        return 0, n
-    if mcqa == 0:
-        return n, 0
-    quotas = [n * openqa / (openqa + mcqa), n * mcqa / (openqa + mcqa)]
-    o, m = _largest_remainder(quotas, n)
+    o, m = _largest_remainder([n * openqa / (openqa + mcqa), n * mcqa / (openqa + mcqa)], n)
     return o, m
 
 
@@ -249,23 +257,16 @@ class CorpusSpec:
         return cls(**values)
 
 
-# Config field -> reader from its JSON value. counts replaces the whole
-# per-task map (it defines what to build); grids and rates merge per task
-# onto the defaults.
-_FIELD_READERS = {
-    "global_seed": int,
+# Config field -> reader from its JSON value: each scalar field's declared
+# type, and for the per-task maps a hand-written reader. counts replaces the
+# whole map (it defines what to build); grids and rates merge per task onto
+# the defaults.
+_FIELD_READERS = get_type_hints(CorpusSpec) | {
     "counts": lambda m: {t: tuple(int(c) for c in pair) for t, pair in m.items()},
     "snr_grids": lambda m: {
         t: tuple(float(s) for s in g) for t, g in (DEFAULT_SNR_GRIDS | dict(m)).items()
     },
     "sample_rates": lambda m: {t: float(r) for t, r in (DEFAULT_SAMPLE_RATES | dict(m)).items()},
-    "bench_fraction": float,
-    "split_salt": str,
-    "per_bin_min": int,
-    "image_size": int,
-    "stft_window": int,
-    "stft_hop": int,
-    "ei_device_count": int,
 }
 
 
@@ -302,7 +303,7 @@ class ManifestRecord:
             self.options = tuple(self.options)
         if self.task not in TASK_TAGS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.format not in ("MCQA", "OpenQA"):
+        if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         tag = answer_tag(self.task, self.format).value
         if self.tag != tag:
@@ -605,20 +606,33 @@ def write_manifest(records, path) -> None:
             fh.write("\n")
 
 
-def read_manifest(path) -> list[ManifestRecord]:
-    """The records of a manifest; a malformed line or a repeated sample_id raises ValueError."""
-    records = []
-    seen = set()
+def read_jsonl(path, kind: str, parse) -> dict:
+    """{sample_id: value} of a JSON-lines file, in file order; blank lines are skipped.
+
+    `parse` maps each line's JSON value to (sample_id, value). A line it
+    rejects raises ValueError naming path:line as a malformed `kind` line,
+    and so does a repeated sample_id.
+    """
+    rows = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                record = ManifestRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed manifest line ({exc})") from exc
-            if record.sample_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate sample_id {record.sample_id!r}")
-            seen.add(record.sample_id)
-            records.append(record)
-    return records
+                sample_id, value = parse(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed {kind} line ({exc})") from exc
+            if sample_id in rows:
+                raise ValueError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
+            rows[sample_id] = value
+    return rows
+
+
+def _manifest_row(data) -> tuple[str, ManifestRecord]:
+    record = ManifestRecord.from_dict(data)
+    return record.sample_id, record
+
+
+def read_manifest(path) -> list[ManifestRecord]:
+    """The records of a manifest; a malformed line or a repeated sample_id raises ValueError."""
+    return list(read_jsonl(path, "manifest", _manifest_row).values())

@@ -41,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
+from .corpus import FORMATS, read_jsonl
 from .instrgen import TagKind, answer_tag
 
 BLEU_EPSILON = 1e-9
@@ -381,29 +382,16 @@ _REPORT_TYPES = {
 }
 
 
+def _prediction_row(row) -> tuple[str, str]:
+    sample_id, text = row["sample_id"], row["text"]
+    if not isinstance(sample_id, str) or not isinstance(text, str):
+        raise ValueError("sample_id and text must be strings")
+    return sample_id, text
+
+
 def load_predictions(path) -> dict:
     """Parse a line-delimited {sample_id, text} prediction file."""
-    import json
-
-    predictions: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                sample_id = row["sample_id"]
-                text = row["text"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed prediction line ({exc})") from exc
-            if not isinstance(sample_id, str) or not isinstance(text, str):
-                raise ValueError(
-                    f"{path}:{lineno}: malformed prediction line (sample_id and text must be strings)"
-                )
-            if sample_id in predictions:
-                raise ValueError(f"{path}:{lineno}: duplicate sample_id {sample_id!r}")
-            predictions[sample_id] = text
-    return predictions
+    return read_jsonl(path, "prediction", _prediction_row)
 
 
 def record_correctness(record, text: str) -> tuple[bool, bool]:
@@ -492,12 +480,12 @@ def score_predictions(records, predictions: dict) -> ScoreReport:
     for task in sorted({o.task for o in outcomes} - {"AJSD"}):
         task_outcomes = [o for o in outcomes if o.task == task]
         stats: dict = {}
-        for fmt in ("MCQA", "OpenQA"):
+        for fmt in FORMATS:
             correct = [o.correct for o in task_outcomes if o.format == fmt]
             if correct:
-                key = "mcqa_accuracy_pct" if fmt == "MCQA" else "openqa_accuracy_pct"
-                stats[key] = round(100.0 * sum(correct) / len(correct), 4)
-                stats[f"{fmt.lower()}_count"] = len(correct)
+                key = fmt.lower()
+                stats[f"{key}_accuracy_pct"] = round(100.0 * sum(correct) / len(correct), 4)
+                stats[f"{key}_count"] = len(correct)
         report.per_task[task] = stats
         labeled = [o for o in task_outcomes if o.snr_db is not None]
         if labeled:
@@ -525,16 +513,13 @@ def format_report_table(report: ScoreReport) -> str:
     """Human-readable headline table."""
     lines = [f"{'task':6s} {'format':8s} {'count':>6s} {'score':>9s}"]
     for task, stats in sorted(report.per_task.items()):
-        if "mcqa_accuracy_pct" in stats:
-            lines.append(
-                f"{task:6s} {'MCQA':8s} {stats['mcqa_count']:>6d} "
-                f"{stats['mcqa_accuracy_pct']:>8.2f}%"
-            )
-        if "openqa_accuracy_pct" in stats:
-            lines.append(
-                f"{task:6s} {'OpenQA':8s} {stats['openqa_count']:>6d} "
-                f"{stats['openqa_accuracy_pct']:>8.2f}%"
-            )
+        for fmt in FORMATS:
+            key = fmt.lower()
+            if f"{key}_accuracy_pct" in stats:
+                lines.append(
+                    f"{task:6s} {fmt:8s} {stats[f'{key}_count']:>6d} "
+                    f"{stats[f'{key}_accuracy_pct']:>8.2f}%"
+                )
     if report.ajsd:
         a = report.ajsd
         composite = "n/a" if a["composite"] is None else f"{a['composite']:.2f}"

@@ -1,32 +1,14 @@
-"""Packing layout arithmetic, stage caps, and log-probability identities."""
+"""Packing layout arithmetic and stage caps."""
 
-import math
-
-import numpy as np
 import pytest
 
 from emforge.budget import (
-    LmBatch,
     RESERVED_PROMPT_TOKENS,
     STAGES,
     check_budget,
-    lm_loss,
     pack_views,
-    seq_logprob,
     stage_table,
 )
-
-
-def _uniform_batch(L, V):
-    logprobs = np.full((L, V), math.log(1.0 / V))
-    targets = np.arange(L) % V
-    return LmBatch(logprobs, targets)
-
-
-def _random_batch(rng, L, V):
-    raw = rng.uniform(0.1, 1.0, (L, V))
-    probs = raw / raw.sum(axis=1, keepdims=True)
-    return LmBatch(np.log(probs), rng.integers(0, V, L)), probs
 
 
 class TestPackViews:
@@ -89,45 +71,3 @@ class TestCheckBudget:
         table = stage_table()
         assert len(table.splitlines()) == 5  # header + 4 stages
         assert "7299" in table
-
-
-class TestLogprob:
-    def test_perfect_predictions_zero(self):
-        logprobs = np.full((4, 3), -1e9)
-        targets = np.array([0, 2, 1, 0])
-        logprobs[np.arange(4), targets] = 0.0
-        # Rows are effectively one-hot; logsumexp is 0 within tolerance.
-        batch = LmBatch(logprobs, targets)
-        assert seq_logprob(batch) == 0.0
-        assert lm_loss(batch) == 0.0
-
-    def test_uniform(self):
-        L, V = 6, 10
-        batch = _uniform_batch(L, V)
-        assert abs(seq_logprob(batch) - L * math.log(1 / V)) < 1e-9
-        assert abs(lm_loss(batch) - L * math.log(V)) < 1e-9
-
-    def test_matches_direct_product(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            L = int(rng.integers(1, 13))
-            V = int(rng.integers(2, 33))
-            batch, probs = _random_batch(rng, L, V)
-            product = float(np.prod(probs[np.arange(L), batch.targets]))
-            assert abs(math.exp(seq_logprob(batch)) - product) < 1e-9
-            assert lm_loss(batch) == -seq_logprob(batch)
-
-    def test_loss_nonnegative(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            batch, _ = _random_batch(rng, 8, 16)
-            assert lm_loss(batch) >= 0.0
-
-    def test_invalid_rows_rejected(self):
-        with pytest.raises(ValueError, match="log-distribution"):
-            LmBatch(np.zeros((2, 4)), np.zeros(2, dtype=int))
-
-    def test_targets_out_of_range(self):
-        batch_logprobs = np.log(np.full((2, 4), 0.25))
-        with pytest.raises(ValueError, match="targets"):
-            LmBatch(batch_logprobs, np.array([0, 4]))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,8 +10,8 @@ import sys
 import pytest
 
 import emforge
-from emforge.cli import main
-from emforge.corpus import DEFAULT_SNR_GRIDS, gold_prediction, read_manifest
+from emforge.cli import _load_spec, main
+from emforge.corpus import CorpusSpec, DEFAULT_SNR_GRIDS, gold_prediction, read_manifest
 from emforge.metrics import TEXT_METRICS
 
 SMALL_CONFIG = {
@@ -30,6 +31,10 @@ SMALL_CONFIG = {
     },
     "bench_fraction": 0.3,
 }
+
+# desk_scale_counts(846): the benchmark composition at one tenth.
+TOTAL_846_COUNTS = {"SPE": (225, 75), "SSD": (170, 30), "MR": (0, 50), "PR": (0, 50),
+                    "EI": (0, 46), "AJSD": (200, 0)}
 
 
 # One well-formed bench record, written by hand.
@@ -150,6 +155,13 @@ class TestBuild:
             ({"sample_rates": {"SSD": 40e6}}, "sample_rates"),
             # Device 16 would need a 10.1 degree phase skew.
             ({"ei_device_count": 17}, "ei_device_count"),
+            # Rates at which a labelled component wraps past the band edge: a
+            # jammer 5 MHz off with its sweep, the 4 MHz SSD and 2 MHz SPE LFM
+            # fills, and PR's bluetooth-like hops to 2 MHz plus 1 MHz symbols.
+            ({"sample_rates": {"AJSD": 9.5e6}}, "sample_rates"),
+            ({"sample_rates": {"SSD": 3e6}}, "sample_rates"),
+            ({"sample_rates": {"SPE": 1.5e6}}, "sample_rates"),
+            ({"sample_rates": {"PR": 5e6}}, "sample_rates"),
         ],
     )
     def test_config_error_exit_2_before_writing(self, tmp_path, capsys, overrides, field):
@@ -161,6 +173,28 @@ class TestBuild:
         assert main(["build", "--config", str(path), "--out", str(out), *flags]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "use_config,total,expected",
+        [
+            (False, None, {"counts": {"SPE": (75, 25), "SSD": (85, 15), "MR": (0, 100),
+                                      "PR": (0, 100), "EI": (0, 100), "AJSD": (100, 0)}}),
+            (False, 846, {"counts": TOTAL_846_COUNTS}),
+            (True, None, {"global_seed": 7, "bench_fraction": 0.25, "counts": {"MR": (0, 60)}}),
+            (True, 846, {"global_seed": 7, "bench_fraction": 0.25, "counts": TOTAL_846_COUNTS}),
+        ],
+        ids=["defaults", "total", "config", "config-and-total"],
+    )
+    def test_spec_from_config_and_total(self, tmp_path, use_config, total, expected):
+        # --total replaces a config's counts and keeps the rest; --seed wins over both.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"global_seed": 7, "counts": {"MR": [0, 60]},
+                                    "bench_fraction": 0.25}))
+        config = str(path) if use_config else None
+        spec = _load_spec(argparse.Namespace(config=config, total=total, seed=None))
+        assert spec.to_dict() == CorpusSpec(**expected).to_dict()
+        spec = _load_spec(argparse.Namespace(config=config, total=total, seed=11))
+        assert spec.to_dict() == CorpusSpec(**{**expected, "global_seed": 11}).to_dict()
 
     def test_total_below_60_exit_2(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -438,16 +472,40 @@ class TestScore:
         assert "unparseable predictions" in capsys.readouterr().out
 
 
+# The exact stdout of `emforge budget`, pinned across commits.
+BUDGET_TABLE = """\
+stage   grid views tok/view  layout  max_seq              verdict
+    1    1x1     1      729     729     4096     fits, slack 3111
+    2    2x2     5      729    3649     4096      fits, slack 191
+    3    6x6    10      729    7299     8192      fits, slack 637
+    4    6x6    10      729    7299     8192      fits, slack 637
+"""
+BUDGET_STAGE_LINES = {
+    1: "stage 1: 1 view(s) x 729 tokens + 0 boundaries = 729 layout tokens; "
+    "with 256 prompt tokens fits in 4096 (slack 3111)",
+    2: "stage 2: 5 view(s) x 729 tokens + 4 boundaries = 3649 layout tokens; "
+    "with 256 prompt tokens fits in 4096 (slack 191)",
+    3: "stage 3: 10 view(s) x 729 tokens + 9 boundaries = 7299 layout tokens; "
+    "with 256 prompt tokens fits in 8192 (slack 637)",
+    4: "stage 4: 10 view(s) x 729 tokens + 9 boundaries = 7299 layout tokens; "
+    "with 256 prompt tokens fits in 8192 (slack 637)",
+}
+
+
 class TestBudgetCommand:
     def test_all_stages_table(self, capsys):
         assert main(["budget"]) == 0
         out = capsys.readouterr().out
         assert out.count("fits") == 4
         assert "7299" in out
+        assert out == BUDGET_TABLE
 
     def test_single_stage(self, capsys):
         assert main(["budget", "--stage", "3"]) == 0
         assert "7299" in capsys.readouterr().out
+        for stage, line in BUDGET_STAGE_LINES.items():
+            assert main(["budget", "--stage", str(stage)]) == 0
+            assert capsys.readouterr().out == line + "\n"
 
     def test_invalid_stage_exit_2(self, capsys):
         assert main(["budget", "--stage", "9"]) == 2

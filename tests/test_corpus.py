@@ -30,7 +30,18 @@ from emforge.corpus import (
     task_format_split,
     write_manifest,
 )
+from emforge.synth import jamming
 from emforge.views import ViewKind, render_view
+
+# How far each jammer kind reaches either side of its centre, as a fraction
+# of the sample rate (phase-code: its main lobe).
+JAMMER_HALF_EXTENT = {
+    "tone": 0.0,
+    "multitone": jamming.MULTITONE_SPACING_FRACTION,
+    "noise-band": jamming.NOISE_BAND_WIDTH_FRACTION / 2,
+    "lfm-sweep": jamming.SWEEP_SPAN_FRACTION / 2,
+    "phase-code": jamming.CHIP_RATE_FRACTION,
+}
 
 SMALL_GRIDS = {
     "SSD": (-10.0, 0.0, 10.0, 20.0),
@@ -398,6 +409,11 @@ class TestConfigValidation:
                 for index in range(24):
                     draft = builders.draft_record(task, index, fmt, spec)
                     assert len(draft.signal) == builders.SEGMENT_SAMPLES
+                    # Every labelled jammer, centre and extent, stays inside the band.
+                    for jammer in draft.ground_truth.get("jammers", ()):
+                        reach = abs(jammer["center_offset_hz"])
+                        reach += JAMMER_HALF_EXTENT[jammer["kind"]] * rate
+                        assert reach < rate / 2, (index, jammer)
 
     def test_ei_device_count_beyond_the_inventory_rejected(self):
         spec = CorpusSpec(counts={"EI": (0, 40)}, ei_device_count=16)

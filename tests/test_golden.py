@@ -19,7 +19,7 @@ import numpy as np
 
 from emforge import png
 from emforge.corpus import CorpusSpec, build_corpus
-from emforge.metrics import score_predictions
+from emforge.metrics import format_report_table, score_predictions
 
 # Every (task, format) cell the builder supports, one record each, with
 # SNR grids trimmed so every bin holds a record.
@@ -110,6 +110,17 @@ def test_small_build_under_fast_thread_switching(tmp_path):
 # ---------------------------------------------------------------------------
 
 PINNED_MIXED_REPORT = "62e1d6689b8115897cec0567ab9dcec465bf6969c5945962cc5b3e56990d1f51"
+PINNED_MIXED_TABLE = """\
+task   format    count     score
+EI     MCQA         46    45.65%
+MR     MCQA         50    52.00%
+PR     MCQA         50    50.00%
+SPE    MCQA         75    58.67%
+SPE    OpenQA      225    61.33%
+SSD    MCQA         30    26.67%
+SSD    OpenQA      170    51.18%
+AJSD   OpenQA      200    42.08  (bleu4 0.310, rouge 0.544, meteor 0.558, cider 0.272)
+unparseable predictions: 217 of 846"""
 OPTION_LETTERS = "ABCDE"
 
 
@@ -194,7 +205,8 @@ def test_mixed_score_report_matches_pinned_digest():
     spec = CorpusSpec.from_total(846, global_seed=5)
     train, bench = build_corpus(spec, None, workers=1, render=False)
     records = train + bench
-    report = score_predictions(records, mixed_predictions(records, seed=5)).to_dict()
+    scored = score_predictions(records, mixed_predictions(records, seed=5))
+    report = scored.to_dict()
     assert report["total"] == 846 and report["ajsd"]["count"] == 200
     assert 0 < report["unparseable"] < 846
     payload = json.dumps(report, indent=2, sort_keys=True)
@@ -202,3 +214,4 @@ def test_mixed_score_report_matches_pinned_digest():
     assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_MIXED_REPORT, (
         f"mixed score report changed; pinned with {PINNED_VERSIONS}, running {running}"
     )
+    assert format_report_table(scored) == PINNED_MIXED_TABLE
