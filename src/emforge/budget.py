@@ -1,11 +1,11 @@
 """Multi-view token packing and the training schedule's sequence budget.
 
-Reference arithmetic only: views are represented by their token counts,
-spans are separated by one boundary token each and carry a view-index id,
-and the stage table pins the training schedule's caps (vision tokens per
-view, view counts, grid, max sequence length). `emforge budget` checks
-each stage's largest layout, every view at its cap, beside a reserved
-prompt of RESERVED_PROMPT_TOKENS.
+Reference arithmetic only: views are represented by their token counts and
+a packed layout by its view count and total length, the spans plus one
+boundary token between each pair of neighbours. The stage table pins the
+training schedule's caps (vision tokens per view, view counts, grid, max
+sequence length). `emforge budget` checks each stage's largest layout,
+every view at its cap, beside a reserved prompt of RESERVED_PROMPT_TOKENS.
 """
 
 from __future__ import annotations
@@ -35,49 +35,20 @@ STAGES = {
 
 @dataclass(frozen=True)
 class PackingLayout:
-    """Contiguous per-view token spans with boundary tokens between them."""
+    """View count and total length of spans packed with single boundary tokens."""
 
-    view_spans: tuple  # ordered (start, length) pairs
-    boundary_positions: tuple
-    view_index_ids: tuple
-
-    def __post_init__(self):
-        if len(self.view_spans) != len(self.view_index_ids):
-            raise ValueError("one view-index id per span")
-        if len(self.boundary_positions) != max(len(self.view_spans) - 1, 0):
-            raise ValueError("boundaries must number view count - 1")
-        cursor = 0
-        for k, (start, length) in enumerate(self.view_spans):
-            if start != cursor or length < 1:
-                raise ValueError("spans must be contiguous, non-overlapping, nonempty")
-            cursor = start + length
-            if k < len(self.boundary_positions):
-                if self.boundary_positions[k] != cursor:
-                    raise ValueError("each boundary sits directly after its span")
-                cursor += 1
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(length for _, length in self.view_spans) + len(self.boundary_positions)
+    views: int
+    total_tokens: int
 
 
 def pack_views(view_token_counts) -> PackingLayout:
     """Lay out per-view token spans separated by single boundary tokens."""
-    counts = list(view_token_counts)
+    counts = [int(c) for c in view_token_counts]
     if not counts:
         raise ValueError("need at least one view")
-    if any(int(c) < 1 for c in counts):
+    if any(c < 1 for c in counts):
         raise ValueError("view token counts must be positive")
-    spans = []
-    boundaries = []
-    cursor = 0
-    for k, count in enumerate(counts):
-        spans.append((cursor, int(count)))
-        cursor += int(count)
-        if k < len(counts) - 1:
-            boundaries.append(cursor)
-            cursor += 1
-    return PackingLayout(tuple(spans), tuple(boundaries), tuple(range(len(counts))))
+    return PackingLayout(len(counts), sum(counts) + len(counts) - 1)
 
 
 @dataclass(frozen=True)
@@ -94,9 +65,9 @@ def check_budget(
     """Whether layout + prompt + response fit the stage's max sequence length."""
     if prompt_len < 0 or response_len < 0:
         raise ValueError("prompt_len and response_len must be nonnegative")
-    if len(layout.view_spans) > stage.max_views:
+    if layout.views > stage.max_views:
         raise ValueError(
-            f"{len(layout.view_spans)} views exceed the stage-{stage.stage} cap "
+            f"{layout.views} views exceed the stage-{stage.stage} cap "
             f"of {stage.max_views}"
         )
     used = layout.total_tokens + prompt_len + response_len

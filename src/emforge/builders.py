@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -172,13 +172,15 @@ def modulated_payload(kind: ModulationKind, n_samples: int, sps: int, fs: float,
     return modulate(kind, rng.integers(0, 2, n_bits), sps, fs)
 
 
-def _categorical_qa(task, gt, universe, fmt, rng, **fmt_args):
+def _qa(task, answer, make_options, fmt, rng, **fmt_args):
+    """(question, options, answer): MCQA draws the option seed, then the question
+    seed; OpenQA draws only the question seed and tags `answer`."""
     if fmt == "MCQA":
-        options = make_mcqa_categorical(gt, universe, seed=_seed(rng))
+        options = make_options(seed=_seed(rng))
         question = make_mcqa_question(task, seed=_seed(rng), **fmt_args)
         return question, options.texts, options.correct_letter
-    question, answer = make_openqa(task, gt, seed=_seed(rng), **fmt_args)
-    return question, None, answer
+    question, tagged = make_openqa(task, answer, seed=_seed(rng), **fmt_args)
+    return question, None, tagged
 
 
 def _draft_ssd(index, fmt, spec, rng, fs, snr):
@@ -203,7 +205,7 @@ def _draft_ssd(index, fmt, spec, rng, fs, snr):
             clean = modulated_payload(kind, SEGMENT_SAMPLES, SSD_COMM_SPS, fs, rng)
             stride = SSD_COMM_SPS
         sig = apply_awgn(clean, snr, _seed(rng))
-    qa = _categorical_qa("SSD", cls, SSD_OPTION_UNIVERSE, fmt, rng)
+    qa = _qa("SSD", cls, partial(make_mcqa_categorical, cls, SSD_OPTION_UNIVERSE), fmt, rng)
     return sig, qa, {"segment_class": cls}, stride
 
 
@@ -230,15 +232,9 @@ def _draft_spe(index, fmt, spec, rng, fs, snr):
         "unit": unit,
         "pulse_spec": pulses,
     }
-    if fmt == "MCQA":
-        options = make_mcqa_numeric(float(value), tolerance, seed=_seed(rng), integer=integer)
-        question = make_mcqa_question("SPE", seed=_seed(rng), param=phrase, unit=unit)
-        qa = question, options.texts, options.correct_letter
-    else:
-        question, answer = make_openqa(
-            "SPE", canonical_number(value, integer), seed=_seed(rng), param=phrase, unit=unit
-        )
-        qa = question, None, answer
+    options = partial(make_mcqa_numeric, float(value), tolerance, integer=integer)
+    answer = canonical_number(value, integer)
+    qa = _qa("SPE", answer, options, fmt, rng, param=phrase, unit=unit)
     return sig, qa, gt, 4
 
 
@@ -247,7 +243,7 @@ def _draft_mr(index, fmt, spec, rng, fs, snr):
     clean = modulated_payload(kind, MR_SAMPLES, MR_SPS, fs, rng)
     sig = apply_awgn(clean, snr, _seed(rng))
     universe = [k.value for k in MR_KINDS]
-    qa = _categorical_qa("MR", kind.value, universe, fmt, rng)
+    qa = _qa("MR", kind.value, partial(make_mcqa_categorical, kind.value, universe), fmt, rng)
     return sig, qa, {"modulation": kind.value}, MR_SPS
 
 
@@ -256,7 +252,7 @@ def _draft_pr(index, fmt, spec, rng, fs, snr):
     cls = PROTOCOL_CLASSES[index % len(PROTOCOL_CLASSES)]
     burst = gen_protocol_burst(default_burst_spec(cls), duration_us, fs, seed=_seed(rng))
     sig = apply_awgn(burst, snr, _seed(rng))
-    qa = _categorical_qa("PR", cls, PROTOCOL_CLASSES, fmt, rng)
+    qa = _qa("PR", cls, partial(make_mcqa_categorical, cls, PROTOCOL_CLASSES), fmt, rng)
     return sig, qa, {"protocol_class": cls}, 4
 
 
@@ -271,9 +267,10 @@ def _draft_ei(index, fmt, spec, rng, fs, snr):
     # Real captures carry no SNR annotation; the noise draw stays unrecorded.
     internal_snr = float(rng.choice(np.arange(6.0, 19.0, 2.0)))
     sig = apply_awgn(marked, internal_snr, _seed(rng))
+    device = profile.device_id
     universe = [p.device_id for p in profiles]
-    qa = _categorical_qa("EI", profile.device_id, universe, fmt, rng)
-    return sig, qa, {"device_id": profile.device_id}, EI_SPS
+    qa = _qa("EI", device, partial(make_mcqa_categorical, device, universe), fmt, rng)
+    return sig, qa, {"device_id": device}, EI_SPS
 
 
 def _draft_ajsd(index, fmt, spec, rng, fs, snr):

@@ -45,7 +45,11 @@ def _default_out() -> str:
 def _load_spec(args) -> CorpusSpec:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            spec = CorpusSpec.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError("config", f"{args.config}: malformed JSON ({exc})") from exc
+        spec = CorpusSpec.from_dict(data)
     else:
         spec = CorpusSpec.default_desk()
     if args.total is not None:
@@ -111,9 +115,6 @@ def cmd_score(args) -> int:
         raise ConfigError("manifest", str(exc)) from exc
     try:
         predictions = metrics.load_predictions(args.predictions)
-    except ValueError as exc:
-        raise ConfigError("predictions", str(exc)) from exc
-    try:
         report = metrics.score_predictions(records, predictions)
     except ValueError as exc:
         raise ConfigError("predictions", str(exc)) from exc
@@ -215,10 +216,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

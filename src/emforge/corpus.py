@@ -30,7 +30,7 @@ from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER, answ
 from .png import encode_png  # noqa: F401
 from .synth import PROTOCOL_CLASSES, default_burst_spec
 from .synth.jamming import SWEEP_SPAN_FRACTION
-from .views import RenderParams, StftParams, VIEW_ORDER, render_view
+from .views import DEFAULT_IMAGE_SIZE, RenderParams, StftParams, VIEW_ORDER, render_view
 
 
 # Per-task (OpenQA, MCQA) bench counts; the cell order fixes largest-
@@ -151,9 +151,9 @@ class CorpusSpec:
     bench_fraction: float = 0.2
     split_salt: str = DEFAULT_SPLIT_SALT
     per_bin_min: int = 1
-    image_size: int = 384
-    stft_window: int = 256
-    stft_hop: int = 64
+    image_size: int = DEFAULT_IMAGE_SIZE
+    stft_window: int = StftParams.window_len
+    stft_hop: int = StftParams.hop
     ei_device_count: int = 12
 
     @classmethod
@@ -244,6 +244,8 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
+        if not isinstance(data, dict):
+            raise ConfigError("config", f"a config is a JSON object, not {type(data).__name__}")
         for key in data:
             if key not in _FIELD_READERS:
                 raise ConfigError(key, "unknown config field")
@@ -257,16 +259,34 @@ class CorpusSpec:
         return cls(**values)
 
 
-# Config field -> reader from its JSON value: each scalar field's declared
-# type, and for the per-task maps a hand-written reader. counts replaces the
+# The JSON values each declared type accepts: an int field takes integers, a
+# float field any number, a str field strings; no field takes a bool.
+_JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict}
+
+
+def _reader(kind):
+    def read(value):
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return kind(value)
+
+    return read
+
+
+_int, _float, _object = _reader(int), _reader(float), _reader(dict)
+
+# Config field -> reader from its JSON value: the `_reader` of each scalar
+# field's declared type, and for the per-task maps a hand-written reader. counts replaces the
 # whole map (it defines what to build); grids and rates merge per task onto
 # the defaults.
-_FIELD_READERS = get_type_hints(CorpusSpec) | {
-    "counts": lambda m: {t: tuple(int(c) for c in pair) for t, pair in m.items()},
+_FIELD_READERS = {name: _reader(kind) for name, kind in get_type_hints(CorpusSpec).items()} | {
+    "counts": lambda m: {t: tuple(map(_int, pair)) for t, pair in _object(m).items()},
     "snr_grids": lambda m: {
-        t: tuple(float(s) for s in g) for t, g in (DEFAULT_SNR_GRIDS | dict(m)).items()
+        t: tuple(map(_float, g)) for t, g in (DEFAULT_SNR_GRIDS | _object(m)).items()
     },
-    "sample_rates": lambda m: {t: float(r) for t, r in (DEFAULT_SAMPLE_RATES | dict(m)).items()},
+    "sample_rates": lambda m: {
+        t: _float(r) for t, r in (DEFAULT_SAMPLE_RATES | _object(m)).items()
+    },
 }
 
 

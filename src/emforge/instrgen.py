@@ -66,12 +66,6 @@ def canonical_number(value: float, integer: bool = False) -> str:
     return text
 
 
-def wrap_tag(tag: TagKind, payload: str) -> str:
-    if tag is TagKind.NONE:
-        raise ValueError("free-text answers carry no tag")
-    return f"<{tag.value}>{payload}</{tag.value}>"
-
-
 def _assemble(values: list[str], correct_text: str, rng: np.random.Generator) -> OptionSet:
     order = rng.permutation(4)
     shuffled = [values[i] for i in order]
@@ -163,54 +157,46 @@ _VIEW_PREAMBLE = (
 
 OPENQA_TEMPLATES = {
     "SSD": (
-        f"{_VIEW_PREAMBLE} Which source class does this segment contain: radar, "
-        "communication, or noise? Only output the result as <segment>class</segment>.",
-        f"{_VIEW_PREAMBLE} Classify the segment source (radar, communication, or noise). "
-        "Respond with nothing but <segment>class</segment>.",
-        f"{_VIEW_PREAMBLE} Decide whether the segment holds a radar signal, a "
-        "communication signal, or only noise. Answer only with <segment>class</segment>.",
+        "Which source class does this segment contain: radar, communication, or noise? Only "
+        "output the result as <segment>class</segment>.",
+        "Classify the segment source (radar, communication, or noise). Respond with nothing "
+        "but <segment>class</segment>.",
+        "Decide whether the segment holds a radar signal, a communication signal, or only "
+        "noise. Answer only with <segment>class</segment>.",
     ),
     "SPE": (
-        f"{_VIEW_PREAMBLE} What is the {{param}} of the pulse train, in {{unit}}? "
-        "Only output the numeric result as <value>number</value>.",
-        f"{_VIEW_PREAMBLE} Read off the {{param}} in {{unit}}. Respond with nothing "
-        "but <value>number</value>.",
-        f"{_VIEW_PREAMBLE} Estimate the {{param}} ({{unit}}) from the views. Answer "
-        "only with <value>number</value>.",
+        "What is the {param} of the pulse train, in {unit}? Only output the numeric result as "
+        "<value>number</value>.",
+        "Read off the {param} in {unit}. Respond with nothing but <value>number</value>.",
+        "Estimate the {param} ({unit}) from the views. Answer only with <value>number</value>.",
     ),
     "MR": (
-        f"{_VIEW_PREAMBLE} Which modulation scheme is used? Only output the result "
-        "as <mode>scheme</mode>.",
-        f"{_VIEW_PREAMBLE} Identify the modulation type. Respond with nothing but "
-        "<mode>scheme</mode>.",
-        f"{_VIEW_PREAMBLE} Name the modulation format of this signal. Answer only "
-        "with <mode>scheme</mode>.",
+        "Which modulation scheme is used? Only output the result as <mode>scheme</mode>.",
+        "Identify the modulation type. Respond with nothing but <mode>scheme</mode>.",
+        "Name the modulation format of this signal. Answer only with <mode>scheme</mode>.",
     ),
     "PR": (
-        f"{_VIEW_PREAMBLE} Which protocol class does this burst belong to? Only "
-        "output the result as <protocol>class</protocol>.",
-        f"{_VIEW_PREAMBLE} Identify the protocol family of the transmission. Respond "
-        "with nothing but <protocol>class</protocol>.",
-        f"{_VIEW_PREAMBLE} Name the protocol class of this signal. Answer only with "
+        "Which protocol class does this burst belong to? Only output the result as "
         "<protocol>class</protocol>.",
+        "Identify the protocol family of the transmission. Respond with nothing but "
+        "<protocol>class</protocol>.",
+        "Name the protocol class of this signal. Answer only with <protocol>class</protocol>.",
     ),
     "EI": (
-        f"{_VIEW_PREAMBLE} Which device emitted this signal? Only output the result "
-        "as <device>id</device>.",
-        f"{_VIEW_PREAMBLE} Identify the emitting device from its hardware fingerprint. "
-        "Respond with nothing but <device>id</device>.",
-        f"{_VIEW_PREAMBLE} Name the emitter that produced this capture. Answer only "
-        "with <device>id</device>.",
+        "Which device emitted this signal? Only output the result as <device>id</device>.",
+        "Identify the emitting device from its hardware fingerprint. Respond with nothing but "
+        "<device>id</device>.",
+        "Name the emitter that produced this capture. Answer only with <device>id</device>.",
     ),
 }
 
 AJSD_TEMPLATES = (
-    f"{_VIEW_PREAMBLE} Identify any jamming present in this spectrum environment and "
-    "recommend a countermeasure strategy, citing the visual evidence.",
-    f"{_VIEW_PREAMBLE} Assess the interference situation and propose an anti-jamming "
-    "plan justified by what the views show.",
-    f"{_VIEW_PREAMBLE} Determine whether the link is being jammed and state the "
-    "countermeasures you would apply, with the observed evidence.",
+    "Identify any jamming present in this spectrum environment and recommend a countermeasure "
+    "strategy, citing the visual evidence.",
+    "Assess the interference situation and propose an anti-jamming plan justified by what the "
+    "views show.",
+    "Determine whether the link is being jammed and state the countermeasures you would apply, "
+    "with the observed evidence.",
 )
 
 MCQA_SUFFIX = {
@@ -246,16 +232,15 @@ def _pick(variants, seed: int) -> str:
     return variants[int(np.random.default_rng(seed).integers(len(variants)))]
 
 
-def make_openqa(task: str, gt, seed: int = 0, **fmt) -> tuple[str, str]:
-    """OpenQA question text and the tag-wrapped canonical answer."""
+def make_openqa(task: str, gt: str, seed: int = 0, **fmt) -> tuple[str, str]:
+    """OpenQA question text and the answer text `gt` wrapped in the task's tag."""
     tag = TASK_TAGS.get(task)
     if tag is None:
         raise ValueError(f"unknown task family {task!r}")
     if tag is TagKind.NONE:
         raise ValueError("AJSD free text is produced by make_ajsd_openqa")
     question = _pick(OPENQA_TEMPLATES[task], seed).format(**fmt)
-    payload = gt if isinstance(gt, str) else canonical_number(gt, fmt.get("integer", False))
-    return question, wrap_tag(tag, payload)
+    return f"{_VIEW_PREAMBLE} {question}", f"<{tag.value}>{gt}</{tag.value}>"
 
 
 def make_mcqa_question(task: str, seed: int = 0, **fmt) -> str:
@@ -298,7 +283,7 @@ def make_ajsd_openqa(scene_labels: dict, seed: int = 0) -> tuple[str, str]:
     The reference opens with a causal detection clause citing the observed
     evidence, then one strategy clause per jammer in fixed kind order.
     """
-    question = _pick(AJSD_TEMPLATES, seed)
+    question = f"{_VIEW_PREAMBLE} {_pick(AJSD_TEMPLATES, seed)}"
     jammers = scene_labels.get("jammers", [])
     for j in jammers:
         if j["kind"] not in JAMMER_KINDS:

@@ -162,6 +162,16 @@ class TestBuild:
             ({"sample_rates": {"SSD": 3e6}}, "sample_rates"),
             ({"sample_rates": {"SPE": 1.5e6}}, "sample_rates"),
             ({"sample_rates": {"PR": 5e6}}, "sample_rates"),
+            # A field takes only JSON values of its declared type, never a bool:
+            # nothing is truncated, parsed from a string or turned into one.
+            ({"counts": {"MR": [0, 40.9]}}, "counts"),
+            ({"image_size": 384.7}, "image_size"),
+            ({"ei_device_count": 12.5}, "ei_device_count"),
+            ({"global_seed": True}, "global_seed"),
+            ({"counts": {"MR": [True, 40]}}, "counts"),
+            ({"bench_fraction": "0.25"}, "bench_fraction"),
+            ({"sample_rates": {"MR": "1e6"}}, "sample_rates"),
+            ({"split_salt": 7}, "split_salt"),
         ],
     )
     def test_config_error_exit_2_before_writing(self, tmp_path, capsys, overrides, field):
@@ -172,6 +182,15 @@ class TestBuild:
         out = tmp_path / "o"
         assert main(["build", "--config", str(path), "--out", str(out), *flags]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", ["[]", "5", "null", "{", '"abc"'])
+    def test_config_not_a_json_object_exit_2(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        out = tmp_path / "o"
+        assert main(["build", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
         assert not out.exists()
 
     @pytest.mark.parametrize(
