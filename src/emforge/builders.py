@@ -219,7 +219,7 @@ def _draft_spe(index, fmt, spec, rng, fs, snr):
     pulse_spec = RadarPulseSpec(pw, period, count, delay, fill)
     sig = apply_awgn(gen_radar_pulse_train(pulse_spec, duration_us, fs), snr, _seed(rng))
 
-    pulses = {"pulse_width_us": pw, "period_us": period, "count": count, "delay_us": delay}
+    pulses = {name: getattr(pulse_spec, name) for name in SPE_PARAMS}
     param = SPE_PARAMS[index % 4]
     value = pulses[param]
     integer = param == "count"

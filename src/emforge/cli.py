@@ -12,15 +12,14 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
 from . import budget as budget_mod
 from . import metrics
 from .builders import modulated_payload
-from .corpus import (
-    ConfigError, CorpusSpec, build_corpus, build_summary, desk_scale_counts, read_manifest,
-)
+from .corpus import ConfigError, CorpusSpec, build_corpus, desk_scale_counts, read_manifest
 from .png import encode_png
 from .signal import IqSignal
 from .synth import (
@@ -44,11 +43,13 @@ def _default_out() -> str:
 
 def _load_spec(args) -> CorpusSpec:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError("config", f"{args.config}: malformed JSON ({exc})") from exc
+        except OSError as exc:
+            raise ConfigError("config", str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError("config", f"{args.config}: malformed JSON ({exc})") from exc
         spec = CorpusSpec.from_dict(data)
     else:
         spec = CorpusSpec.default_desk()
@@ -63,17 +64,20 @@ def cmd_build(args) -> int:
     spec = _load_spec(args)
     out_dir = args.out or _default_out()
     train, bench = build_corpus(spec, out_dir, workers=args.workers)
-    summary = build_summary(train, bench)
-    print(f"built {summary['total']} records -> {out_dir}")
-    print(f"  train: {summary['train']}  bench: {summary['bench']}")
-    for task, row in summary["per_task"].items():
+    records = train + bench
+    per_format = Counter((r.task, r.format) for r in records)
+    per_bench_task = Counter(r.task for r in bench)
+    hist = Counter(f"{r.snr_db:g}" for r in records if r.snr_db is not None)
+    print(f"built {len(records)} records -> {out_dir}")
+    print(f"  train: {len(train)}  bench: {len(bench)}")
+    for task in sorted({r.task for r in records}):
         print(
-            f"  {task:5s} OpenQA {row['OpenQA']:5d}  MCQA {row['MCQA']:5d}  "
-            f"(bench {row['bench']})"
+            f"  {task:5s} OpenQA {per_format[task, 'OpenQA']:5d}  "
+            f"MCQA {per_format[task, 'MCQA']:5d}  (bench {per_bench_task[task]})"
         )
-    hist = summary["snr_histogram"]
     if hist:
-        print("  SNR histogram (dB: count): " + ", ".join(f"{k}: {v}" for k, v in hist.items()))
+        print("  SNR histogram (dB: count): "
+              + ", ".join(f"{k}: {hist[k]}" for k in sorted(hist, key=float)))
     return 0
 
 
@@ -109,14 +113,15 @@ def cmd_render(args) -> int:
 
 
 def cmd_score(args) -> int:
+    # An input that cannot be opened is a usage error, as is one that does not parse.
     try:
         records = read_manifest(args.manifest)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError("manifest", str(exc)) from exc
     try:
         predictions = metrics.load_predictions(args.predictions)
         report = metrics.score_predictions(records, predictions)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError("predictions", str(exc)) from exc
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.report:
@@ -139,6 +144,8 @@ def cmd_report(args) -> int:
             report = metrics.ScoreReport.from_dict(json.load(fh))
         table = metrics.format_report_table(report)
         csv_text = metrics.snr_tables_csv(report) if args.csv else None
+    except OSError as exc:
+        raise ConfigError("report", str(exc)) from exc
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError("report", f"{args.report}: malformed report ({exc})") from exc
     print(table)

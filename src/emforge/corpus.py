@@ -379,28 +379,23 @@ def stratified_bench(records, snr_grid, per_bin_min: int) -> set[str]:
     """Bench sample_ids for one task after SNR-coverage promotion.
 
     Starts from the records' hash-assigned split; any grid bin with fewer
-    than per_bin_min bench items promotes its lowest train sample_ids.
+    than per_bin_min bench items promotes its lowest train sample_ids. A
+    bin holding fewer than per_bin_min records raises ValueError.
     Unlabeled records (snr_db None) keep their hash assignment.
     """
     bench_ids = {r.sample_id for r in records if r.split == "bench"}
-    if per_bin_min == 0:
-        return bench_ids
     for snr in snr_grid:
         in_bin = sorted((r.sample_id for r in records if r.snr_db == snr))
-        if not in_bin:
+        if len(in_bin) < per_bin_min:
             task = records[0].task if records else "?"
-            raise ValueError(f"SNR bin {snr:g} dB has no {task} records")
-        have = sum(1 for sid in in_bin if sid in bench_ids)
-        if have >= per_bin_min:
-            continue
-        candidates = [sid for sid in in_bin if sid not in bench_ids]
-        need = per_bin_min - have
-        if need > len(candidates):
             raise ValueError(
-                f"SNR bin {snr:g} dB holds only {len(in_bin)} records; "
-                f"cannot reach per_bin_min={per_bin_min}"
+                f"{task} SNR bin {snr:g} dB holds {len(in_bin)} records, "
+                f"fewer than per_bin_min={per_bin_min}"
             )
-        bench_ids.update(candidates[:need])
+        have = sum(1 for sid in in_bin if sid in bench_ids)
+        if have < per_bin_min:
+            candidates = [sid for sid in in_bin if sid not in bench_ids]
+            bench_ids.update(candidates[: per_bin_min - have])
     return bench_ids
 
 
@@ -592,25 +587,6 @@ def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool 
             json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return train, bench
-
-
-def build_summary(train, bench) -> dict:
-    """Per-task counts and the SNR histogram of the whole build."""
-    summary: dict = {"total": len(train) + len(bench), "train": len(train), "bench": len(bench)}
-    per_task: dict = {}
-    snr_hist: dict = {}
-    for record in train + bench:
-        task = per_task.setdefault(
-            record.task, {"OpenQA": 0, "MCQA": 0, "train": 0, "bench": 0}
-        )
-        task[record.format] += 1
-        task[record.split] += 1
-        if record.snr_db is not None:
-            key = f"{record.snr_db:g}"
-            snr_hist[key] = snr_hist.get(key, 0) + 1
-    summary["per_task"] = {t: per_task[t] for t in sorted(per_task)}
-    summary["snr_histogram"] = {k: snr_hist[k] for k in sorted(snr_hist, key=float)}
-    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -367,11 +367,14 @@ class ScoreReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreReport":
-        """The report of a JSON object; a non-object or a mistyped field raises ValueError."""
+        """The report of a JSON object; a non-object or a mistyped field raises ValueError.
+
+        No field takes a bool, although Python counts one as an int.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
         for name, kind in _REPORT_TYPES.items():
-            if name in data and not isinstance(data[name], kind):
+            if name in data and (isinstance(data[name], bool) or not isinstance(data[name], kind)):
                 raise ValueError(f"field {name!r} cannot be {type(data[name]).__name__}")
         return cls(**{name: data[name] for name in _REPORT_TYPES if name in data})
 
@@ -493,19 +496,16 @@ def score_predictions(records, predictions: dict) -> ScoreReport:
 
     if ajsd_records:
         n = len(ajsd_records)
-        bleu, rouge, met, cid = zip(*(o.text_scores for o in outcomes if o.task == "AJSD"))
-        b, r_l, m = sum(bleu) / n, sum(rouge) / n, sum(met) / n
-        # CIDEr's IDF needs at least two items; below that, it and the
+        columns = zip(*(o.text_scores for o in outcomes if o.task == "AJSD"))
+        # Below two items CIDEr is None per item, so its mean and the
         # composite built on it are reported as null.
-        c_mean = sum(cid) / n if n >= 2 else None
+        means = [None if None in column else sum(column) / n for column in columns]
         report.ajsd = {
-            "bleu4": round(b, 6),
-            "rouge_l": round(r_l, 6),
-            "meteor": round(m, 6),
-            "cider": None if c_mean is None else round(c_mean, 6),
-            "composite": None if c_mean is None else round(ajsd_composite(b, r_l, m, c_mean), 4),
-            "count": n,
+            name: None if mean is None else round(mean, 6)
+            for name, mean in zip(TEXT_METRICS, means)
         }
+        report.ajsd["composite"] = None if None in means else round(ajsd_composite(*means), 4)
+        report.ajsd["count"] = n
     return report
 
 

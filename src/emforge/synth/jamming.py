@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -124,13 +124,6 @@ def gen_jamming_scene(
         "noise_only": len(scene.jammers) == 0 and scene.background == "noise",
         "background": scene.background,
         "victim_mode": scene.victim_mode,
-        "jammers": [
-            {
-                "kind": j.kind,
-                "power_db_rel": j.power_db_rel,
-                "center_offset_hz": j.center_offset_hz,
-            }
-            for j in scene.jammers
-        ],
+        "jammers": [asdict(j) for j in scene.jammers],
     }
     return IqSignal(x, sample_rate_hz), labels

@@ -43,12 +43,7 @@ class ViewKind(str, Enum):
     IQ_WAVEFORM = "iq_waveform"
 
 
-VIEW_ORDER = (
-    ViewKind.CONSTELLATION,
-    ViewKind.FFT_SPECTRUM,
-    ViewKind.STFT_SPECTROGRAM,
-    ViewKind.IQ_WAVEFORM,
-)
+VIEW_ORDER = tuple(ViewKind)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,20 @@ SPE_RECORD = {
 }
 
 
+# The exact stdout of `emforge build` on SMALL_CONFIG, pinned across commits.
+BUILD_STDOUT = """\
+built 36 records -> {out}
+  train: 14  bench: 22
+  AJSD  OpenQA     6  MCQA     0  (bench 3)
+  EI    OpenQA     0  MCQA     6  (bench 2)
+  MR    OpenQA     0  MCQA     6  (bench 4)
+  PR    OpenQA     0  MCQA     6  (bench 5)
+  SPE   OpenQA     3  MCQA     3  (bench 3)
+  SSD   OpenQA     4  MCQA     2  (bench 5)
+  SNR histogram (dB: count): -20: 6, -10: 2, 0: 6, 10: 1, 18: 4, 20: 3
+"""
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "config.json"
@@ -100,9 +114,7 @@ class TestBuild:
         for record in records:
             for rel in record.view_paths:
                 assert (out / rel).exists()
-        stdout = capsys.readouterr().out
-        assert "built 36 records" in stdout
-        assert "SNR histogram" in stdout
+        assert capsys.readouterr().out == BUILD_STDOUT.format(out=out)
 
         first = _tree_hash(out)
         out2 = tmp_path / "out2"
@@ -467,8 +479,10 @@ class TestScore:
             ("{", "Expecting property name"),
             ('{"per_task": 5}', "field 'per_task' cannot be int"),
             ("[]", "a report is a JSON object, not list"),
+            ('{"per_task": {}, "ajsd": null, "snr_tables": {}, "unparseable": true, '
+             '"total": false}', "field 'unparseable' cannot be bool"),
         ],
-        ids=["bad-json", "per-task-number", "list"],
+        ids=["bad-json", "per-task-number", "list", "count-bool"],
     )
     def test_malformed_report_exit_2(self, tmp_path, capsys, text, message):
         report = tmp_path / "report.json"
@@ -489,6 +503,31 @@ class TestScore:
         capsys.readouterr()
         assert main(["report", "--report", str(report_path)]) == 0
         assert "unparseable predictions" in capsys.readouterr().out
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("flag", ["config", "manifest", "predictions", "report"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, flag, kind):
+        # An input path that cannot be opened is a usage error naming its flag.
+        bad = tmp_path / kind
+        if kind == "directory":
+            bad.mkdir()
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(MANIFEST_RECORD) + "\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        out = tmp_path / "o"
+        argv = {
+            "config": ["build", "--config", bad, "--out", out],
+            "manifest": ["score", "--manifest", bad, "--predictions", preds, "--report", out],
+            "predictions": ["score", "--manifest", manifest, "--predictions", bad,
+                            "--report", out],
+            "report": ["report", "--report", bad, "--csv", out],
+        }[flag]
+        assert main([str(arg) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not out.exists()
 
 
 # The exact stdout of `emforge budget`, pinned across commits.
