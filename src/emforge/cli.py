@@ -112,7 +112,21 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _check_outputs(*outputs) -> None:
+    """Raise ConfigError for a (flag, path) output whose directory is missing
+    or that is a directory, so a command fails before its first write."""
+    for flag, path in outputs:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError(flag, f"{path}: is a directory")
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            raise ConfigError(flag, f"{path}: no such directory {parent}")
+
+
 def cmd_score(args) -> int:
+    _check_outputs(("report", args.report), ("csv", args.csv), ("per-record", args.per_record))
     # An input that cannot be opened is a usage error, as is one that does not parse.
     try:
         records = read_manifest(args.manifest)
@@ -138,6 +152,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_outputs(("csv", args.csv))
     # Formatting reads nested fields, so a mistyped one surfaces there.
     try:
         with open(args.report, encoding="utf-8") as fh:

@@ -13,24 +13,28 @@ per-task accuracies, the unparseable count and the SNR tables are folds
 over that list, so each prediction is checked once.
 
 Free text has one scoring path, `_text_scores`, with exactly one
-reference per item. References repeat (they come from rule tables), so
-it works once per distinct reference, in two passes. The first interns
-each distinct reference's tokens to ints and counts CIDEr's document
-frequencies, each weighted by how many items use that reference. The
-second walks the items grouped by reference: each group builds its
-reference's 1-4-gram counts, TF-IDF weights and norms once, then scores
-its candidates. Each candidate is tokenised once, and one walk per order
-over its n-grams sums BLEU's clipped matches, CIDEr's dot product and
-the candidate's TF-IDF norm together. Only one reference's counters are
-alive at a time; scores come back in record order. ROUGE-L's LCS length
-is bit-parallel over Python ints (Allison & Dix 1986; Hyyrö 2004);
-METEOR looks each token, then each stem, up in a map to its unused
-reference positions. `score_predictions` and all four public metrics
-run `_text_scores`: `bleu4`, `rouge_l` and `meteor` as a one-pair corpus.
-Every per-item formula keeps one order of operations (float sums run
-left to right over the candidate's, or the reference's, n-grams in
-first-occurrence order) and corpus means are sums of per-item lists in
-record order, so a score does not depend on which caller computed it.
+reference per item. Items repeat (references come from rule tables, and
+items that share a reference can share a prediction too), so it scores
+each distinct (reference, candidate) pair once and gives the tuple to
+every item that has it. Pass 1 interns the distinct references and walks them
+once, in chunks, numbering their 1-4-grams per order and counting
+CIDEr's document frequencies, each reference weighted by how many items
+use it. Pass 2 walks the distinct pairs grouped by reference, in chunks
+of whole groups so that no array grows with the corpus: ROUGE-L and
+METEOR per pair, then one array pass per order over the chunk's
+references and candidates for BLEU's clipped matches, CIDEr's dot
+products and both TF-IDF norms. ROUGE-L's LCS length is bit-parallel
+over Python ints (Allison & Dix 1986; Hyyrö 2004); METEOR looks each
+token, then each stem, up in a map to its unused reference positions,
+and builds the exact-match map once per reference. `score_predictions`
+and all four public metrics run `_text_scores`: `bleu4`, `rouge_l` and
+`meteor` as a one-pair corpus. Every per-item formula keeps one order of
+operations: float sums run left to right over the candidate's, or the
+reference's, n-grams in first-occurrence order (`np.bincount` adds in
+index order, and its entries are laid out in that order), logs, exps
+and square roots are scalar `math` calls, and corpus means are sums of
+per-item lists in record order, so a score does not depend on which
+caller computed it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,10 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import get_type_hints
+
+import numpy as np
 
 from .corpus import FORMATS, read_jsonl
 from .instrgen import TagKind, answer_tag
@@ -66,11 +73,6 @@ def _stem(token: str) -> str:
         if token.endswith(suffix) and len(token) > len(suffix) + 2:
             return token[: -len(suffix)]
     return token
-
-
-def _ngrams(tokens: list, n: int):
-    """The n-grams of `tokens`: the tokens themselves for n = 1, tuples above."""
-    return tokens if n == 1 else zip(*(tokens[k:] for k in range(n)))
 
 
 class _Vocab:
@@ -132,35 +134,46 @@ def rouge_l(candidate: str, reference: str) -> float:
     return _text_scores([reference], [candidate])[0][1]
 
 
-def _meteor_alignment(cand: list, ref: list, stem) -> list[tuple[int, int]]:
+def _free_positions(keys, used=frozenset()) -> dict:
+    """Each key's reference positions outside `used`, in a list, earliest last."""
+    free: dict = {}
+    for j, key in reversed(list(enumerate(keys))):
+        if j not in used:
+            free.setdefault(key, []).append(j)
+    return free
+
+
+def _take(keys, free: dict, pairs: dict) -> None:
+    """Align each unaligned candidate position to its key's earliest free reference position."""
+    for i, key in enumerate(keys):
+        if i not in pairs:
+            slots = free.get(key)
+            if slots:
+                pairs[i] = slots.pop()
+
+
+def _meteor_alignment(cand: list, ref: list, stem, exact: dict | None = None) -> list[tuple]:
     """Greedy two-stage alignment: exact matches first, then stem matches.
 
     Each pass walks the candidate left to right and takes the earliest
     unused reference position with the same key, which keeps identical
-    sentences in one contiguous chunk. The unused positions of each key
-    sit in a list, earliest last.
+    sentences in one contiguous chunk. `exact` is the reference's
+    `_free_positions`, which a caller scoring many candidates against one
+    reference builds once; the exact pass takes from a copy of it.
     """
+    if exact is None:
+        exact = _free_positions(ref)
     pairs: dict[int, int] = {}
-    for cand_keys, ref_keys in ((cand, ref), (map(stem, cand), map(stem, ref))):
-        used = set(pairs.values())
-        free: dict = {}
-        for j, key in reversed(list(enumerate(ref_keys))):
-            if j not in used:
-                free.setdefault(key, []).append(j)
-        for i, key in enumerate(cand_keys):
-            if i not in pairs:
-                slots = free.get(key)
-                if slots:
-                    pairs[i] = slots.pop()
-        if len(pairs) == len(cand):
-            break
+    _take(cand, {key: slots.copy() for key, slots in exact.items()}, pairs)
+    if len(pairs) < len(cand):
+        _take(map(stem, cand), _free_positions(map(stem, ref), set(pairs.values())), pairs)
     return sorted(pairs.items())
 
 
-def _meteor(cand: list, ref: list, stem) -> float:
+def _meteor(cand: list, ref: list, stem, exact: dict | None = None) -> float:
     if not cand or not ref:
         return 0.0
-    pairs = _meteor_alignment(cand, ref, stem)
+    pairs = _meteor_alignment(cand, ref, stem, exact)
     m = len(pairs)
     if m == 0:
         return 0.0
@@ -180,70 +193,185 @@ def meteor(candidate: str, reference: str) -> float:
     return _text_scores([reference], [candidate])[0][2]
 
 
-def _idf_tables(refs: list, n_docs: int) -> list[dict]:
-    """Per n, log(N / document frequency) of every reference n-gram.
+# Sequences are coded and scored in chunks of about this many tokens
+# (whole references, or whole reference groups), which bounds the arrays.
+_CHUNK_TOKENS = 4096
 
-    `refs` holds (tokens, items) per distinct reference; each counts as
-    one document per item that uses it.
+
+def _chunks(items, size) -> list[list]:
+    """Consecutive runs of `items`, each closed once its `size`s reach _CHUNK_TOKENS."""
+    runs, run, total = [], [], 0
+    for item in items:
+        run.append(item)
+        total += size(item)
+        if total >= _CHUNK_TOKENS:
+            runs.append(run)
+            run, total = [], 0
+    return runs + [run] if run else runs
+
+
+def _flatten(seqs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`seqs` end to end: (tokens, each token's sequence, tokens left in its sequence from it)."""
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    tokens = np.fromiter(chain.from_iterable(seqs), np.int64, int(lengths.sum()))
+    seq = np.repeat(np.arange(len(seqs)), lengths)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
+    return tokens, seq, left
+
+
+def _distinct(seq: np.ndarray, codes: np.ndarray):
+    """(sequence, code, count) of each sequence's distinct codes, sequence
+    by sequence, each in order of first occurrence. `seq` must be sorted."""
+    n = len(codes)
+    # Sorting by (code, position) also keeps each sequence's run of a code together.
+    order = np.argsort(codes * n + np.arange(n))
+    by_code, by_seq = codes[order], seq[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (by_code[1:] != by_code[:-1]) | (by_seq[1:] != by_seq[:-1])
+    starts = np.flatnonzero(new)
+    first = np.zeros(n, dtype=bool)
+    first[order[starts]] = True
+    count = np.zeros(n, dtype=np.int64)
+    count[order[starts]] = np.diff(np.r_[starts, n])
+    return seq[first], codes[first], count[first]
+
+
+def _rows(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Each key's row in the sorted `table`, or len(table) where it is absent."""
+    order = np.argsort(keys)
+    rows = np.empty_like(order)
+    # searchsorted walks sorted queries much faster than scattered ones.
+    rows[order] = np.searchsorted(table, keys[order])
+    found = rows < len(table)
+    found[found] = table[rows[found]] == keys[found]
+    rows[~found] = len(table)
+    return rows
+
+
+def _log_ratios(n_docs: int, counts: np.ndarray) -> np.ndarray:
+    """math.log(n_docs / c) per count c: one scalar call per distinct count,
+    because np.log may differ from math.log in the last place."""
+    values, inverse = np.unique(counts, return_inverse=True)
+    return np.array([math.log(n_docs / c) for c in values.tolist()])[inverse]
+
+
+class _NgramTables:
+    """BLEU4 and CIDEr of candidates against a fixed set of distinct references.
+
+    N-grams are numbered per order n. An n-gram's key is its (n-1)-gram's
+    code times `n_tokens` plus its last token, so a key stays below
+    (tokens)^2 for any vocabulary size. Per order, a table sorted by key
+    gives each reference n-gram's code, numbered in order of first
+    appearance. Token ids below `n_tokens` are exactly the reference
+    tokens: the vocabulary interned the references first. The constructor
+    walks the references once, in chunks, filling the tables and CIDEr's
+    document frequencies.
+
+    Every float sum is an `np.bincount` with weights over entries laid out
+    sequence by sequence, each sequence's distinct n-grams in order of
+    first occurrence. bincount adds each bin's weights in index order, so
+    every norm and dot product is summed in the order of a left-to-right
+    loop over the n-grams: the byte-identical report depends on this.
+    Logs, exps and square roots stay scalar `math` calls.
     """
-    df = [Counter() for _ in range(NGRAM_ORDER)]
-    for toks, items in refs:
-        weight = len(items)
-        for n, counts in enumerate(df, 1):
-            for g in set(_ngrams(toks, n)):
-                counts[g] += weight
-    return [{g: math.log(n_docs / c) for g, c in d.items()} for d in df]
 
+    def __init__(self, refs: list, uses: list[int], n_docs: int, n_tokens: int):
+        self.n_tokens = n_tokens
+        # Per order: the sorted keys of the reference n-grams and each key's code.
+        self.tables = [(np.empty(0, np.int64), np.empty(0, np.int64))] * NGRAM_ORDER
+        df = [np.zeros(0)] * NGRAM_ORDER
+        for rows in _chunks(range(len(refs)), lambda r: len(refs[r])):
+            tokens, seq, left = _flatten([refs[r] for r in rows])
+            weight = np.array([uses[r] for r in rows], dtype=np.float64)
+            for n, (at, code, width) in enumerate(self._codes(tokens, left, n_tokens, learn=True)):
+                ref, gram, _ = _distinct(seq[at], code)
+                # CIDEr's document frequency: one document per item using the reference.
+                counts = np.zeros(width)
+                counts[: len(df[n])] = df[n]
+                counts += np.bincount(gram, weights=weight[ref], minlength=width)
+                df[n] = counts
+        # A trailing entry holds the IDF of n-grams absent from every reference: log(N).
+        self.idf = [np.append(_log_ratios(n_docs, counts), math.log(n_docs)) for counts in df]
 
-def _reference_tables(ref: list, idf_by_n: list) -> list[tuple]:
-    """Per n: (n-gram -> (count, idf, TF-IDF weight), TF-IDF norm) of one reference."""
-    tables = []
-    for n, idf in enumerate(idf_by_n, 1):
-        grams = {}
-        sq = 0.0
-        for g, c in Counter(_ngrams(ref, n)).items():
-            g_idf = idf[g]
-            w = c * g_idf
-            grams[g] = (c, g_idf, w)
-            sq += w * w
-        tables.append((grams, idf, math.sqrt(sq)))
-    return tables
+    def _codes(self, tokens: np.ndarray, left: np.ndarray, vocab_size: int, learn: bool = False):
+        """Per order: (start positions, codes, code bound) of the n-grams of flat `tokens`.
 
+        An n-gram missing from its table gets a code from the table's size
+        up, numbered per call in the order of its fresh key, which is unique
+        because every token id is below `vocab_size`. With `learn` the fresh
+        n-grams join the tables: `vocab_size` is then `n_tokens`, so their
+        fresh keys are table keys.
+        """
+        codes = np.zeros_like(tokens)  # order 0 has one n-gram, coded 0
+        out = []
+        for n, (keys, key_codes) in enumerate(self.tables):
+            at = np.flatnonzero(left > n)
+            prev, nxt = codes[at], tokens[at + n]
+            row = _rows(keys, prev * self.n_tokens + nxt)
+            code = np.append(key_codes, -1)[row]
+            # A token the references lack could alias another n-gram's key.
+            miss = (row == len(keys)) | (nxt >= self.n_tokens)
+            fresh, code[miss] = np.unique(prev[miss] * vocab_size + nxt[miss], return_inverse=True)
+            code[miss] += len(keys)
+            width = len(keys) + len(fresh)
+            if learn:
+                keys = np.append(keys, fresh)
+                by_key = np.argsort(keys)
+                key_codes = np.append(key_codes, np.arange(len(key_codes), width))
+                self.tables[n] = keys[by_key], key_codes[by_key]
+            codes[at] = code
+            out.append((at, code, width))
+        return out
 
-def _bleu4_cider(cand: list, ref_len: int, tables: list, default: float) -> tuple[float, float]:
-    """BLEU4 and CIDEr of one candidate against its reference's `tables`.
+    def score(self, refs: list, pairs: list, vocab_size: int) -> list[tuple[float, float]]:
+        """(BLEU4, CIDEr) of each (index into `refs`, candidate tokens) pair.
 
-    Each order's candidate n-grams are walked once, in first-occurrence
-    order: the walk sums BLEU's clipped matches, CIDEr's dot product and
-    the candidate's squared TF-IDF norm together. N-grams absent from
-    every reference get the maximum IDF, `default` = log(N).
-    """
-    cand_len = len(cand)
-    log_sum = 0.0
-    cider_sum = 0.0
-    for n, (grams, idf, ref_norm) in enumerate(tables, 1):
-        matched = 0
-        dot = 0.0
-        sq = 0.0
-        for g, c in Counter(_ngrams(cand, n)).items():
-            hit = grams.get(g)
-            if hit is None:
-                w = c * idf.get(g, default)
-            else:
-                ref_c, g_idf, ref_w = hit
-                matched += c if c < ref_c else ref_c
-                w = c * g_idf
-                dot += w * ref_w
-            sq += w * w
-        # A match implies at least one of the cand_len - n + 1 candidate n-grams.
-        log_sum += math.log(matched / (cand_len - n + 1)) if matched else _LOG_EPSILON
-        norm = math.sqrt(sq)
-        cider_sum += 0.0 if norm == 0.0 or ref_norm == 0.0 else dot / (norm * ref_norm)
-    cider_score = cider_sum / NGRAM_ORDER
-    if not cand_len:
-        return 0.0, cider_score
-    bp = 1.0 if cand_len > ref_len else math.exp(1 - ref_len / cand_len)
-    return bp * math.exp(log_sum / 4), cider_score
+        `refs` and the candidates are coded together. Candidate n-grams no
+        reference has get fresh codes and the maximum IDF.
+        """
+        cands = [cand for _, cand in pairs]
+        ref_of = np.array([r for r, _ in pairs], dtype=np.int64)
+        tokens, seq, left = _flatten(refs + cands)
+        sums = []
+        for (at, code, width), idf in zip(self._codes(tokens, left, vocab_size), self.idf):
+            s, gram, count = _distinct(seq[at], code)
+            w = count * idf[np.minimum(gram, len(idf) - 1)]
+            split = np.searchsorted(s, len(refs))
+            ref, ref_gram, ref_count, ref_w = s[:split], gram[:split], count[:split], w[:split]
+            ref_sq = np.bincount(ref, weights=ref_w * ref_w, minlength=len(refs))
+            ref_norm = np.array([math.sqrt(x) for x in ref_sq.tolist()])
+            # The (reference, n-gram) keys sorted, with a trailing row for absent n-grams.
+            ref_keys = ref * width + ref_gram
+            by_key = np.argsort(ref_keys)
+            ref_keys = ref_keys[by_key]
+            clip = np.append(ref_count[by_key], 0)
+            ref_w = np.append(ref_w[by_key], 0.0)
+            pair, gram, count, w = s[split:] - len(refs), gram[split:], count[split:], w[split:]
+            # Each candidate n-gram's row in its own reference's table.
+            row = _rows(ref_keys, ref_of[pair] * width + gram)
+            # Per pair: clipped matches, dot product and squared norm, then the reference norm.
+            sums.append([
+                np.bincount(pair, weights=weights, minlength=len(pairs)).tolist()
+                for weights in (np.minimum(count, clip[row]), w * ref_w[row], w * w)
+            ] + [ref_norm[ref_of].tolist()])
+        scores = []
+        for i, (r, cand) in enumerate(pairs):
+            cand_len, ref_len = len(cand), len(refs[r])
+            log_sum = 0.0
+            cider_sum = 0.0
+            for n, (matched, dot, sq, ref_norm) in enumerate(sums):
+                # A match implies at least one of the cand_len - n candidate (n+1)-grams.
+                log_sum += math.log(matched[i] / (cand_len - n)) if matched[i] else _LOG_EPSILON
+                norm = math.sqrt(sq[i])
+                if norm != 0.0 and ref_norm[i] != 0.0:
+                    cider_sum += dot[i] / (norm * ref_norm[i])
+            cider_score = cider_sum / NGRAM_ORDER
+            if not cand_len:
+                scores.append((0.0, cider_score))
+                continue
+            bp = 1.0 if cand_len > ref_len else math.exp(1 - ref_len / cand_len)
+            scores.append((bp * math.exp(log_sum / 4), cider_score))
+        return scores
 
 
 def cider(candidates: list[str], references: list[str]) -> tuple[list[float], float]:
@@ -264,36 +392,45 @@ def cider(candidates: list[str], references: list[str]) -> tuple[list[float], fl
 def _text_scores(references: list[str], candidates: list[str]) -> list[tuple]:
     """(bleu4, rouge_l, meteor, cider) per (reference, candidate) pair, in order.
 
-    Pass 1 interns each distinct reference once and counts CIDEr's
-    document frequencies, weighted by how many items use it. Pass 2 walks
-    the items grouped by reference: each group builds its reference's
-    n-gram tables once and scores its candidates against them, so only
-    one reference's counters are alive at a time. CIDEr is None below
-    two items.
+    Each distinct pair is scored once and its tuple given to every item
+    that has it. Pass 1 interns the distinct references and builds the
+    n-gram tables, where CIDEr's document frequencies count every item.
+    Pass 2 interns and scores the distinct pairs reference group by
+    reference group: ROUGE-L and METEOR per pair, BLEU4 and CIDEr per
+    chunk of whole groups. CIDEr is None below two items.
     """
     if not references:
         return []
+    groups: dict[str, dict[str, list[int]]] = {}
+    for i, (ref, cand) in enumerate(zip(references, candidates)):
+        groups.setdefault(ref, {}).setdefault(cand, []).append(i)
     vocab = _Vocab()
-    items: dict[str, list[int]] = {}
-    for i, text in enumerate(references):
-        items.setdefault(text, []).append(i)
-    refs = [(vocab.intern(text), rows) for text, rows in items.items()]
+    refs = [vocab.intern(text) for text in groups]
     n_docs = len(references)
-    idf_by_n = _idf_tables(refs, n_docs)
-    default = math.log(n_docs)
+    uses = [sum(map(len, group.values())) for group in groups.values()]
+    tables = _NgramTables(refs, uses, n_docs, len(vocab.ids))
     stem = vocab.stem_of.__getitem__
     scores: list = [None] * n_docs
-    for ref, rows in refs:
-        tables = _reference_tables(ref, idf_by_n)
-        for i in rows:
-            cand = vocab.intern(candidates[i])
-            bleu, cider_score = _bleu4_cider(cand, len(ref), tables, default)
-            scores[i] = (
-                bleu,
-                _rouge_l(cand, ref),
-                _meteor(cand, ref, stem),
-                cider_score if n_docs >= 2 else None,
-            )
+    chunk_refs: list = []
+    chunk: list = []
+    chunk_tokens = 0
+    for r, (ref, group) in enumerate(zip(refs, groups.values())):
+        exact = _free_positions(ref)
+        for text, rows in group.items():
+            cand = vocab.intern(text)
+            rouge, met = _rouge_l(cand, ref), _meteor(cand, ref, stem, exact)
+            chunk.append((len(chunk_refs), cand, rouge, met, rows))
+            chunk_tokens += len(cand)
+        chunk_refs.append(ref)
+        chunk_tokens += len(ref)
+        if chunk_tokens < _CHUNK_TOKENS and r < len(refs) - 1:
+            continue
+        bleu_cider = tables.score(chunk_refs, [(k, cand) for k, cand, *_ in chunk], len(vocab.ids))
+        for (_, _, rouge, met, rows), (bleu, cider_score) in zip(chunk, bleu_cider):
+            item = (bleu, rouge, met, cider_score if n_docs >= 2 else None)
+            for i in rows:
+                scores[i] = item
+        chunk_refs, chunk, chunk_tokens = [], [], 0
     return scores
 
 

@@ -12,7 +12,7 @@ import pytest
 import emforge
 from emforge.cli import _load_spec, main
 from emforge.corpus import CorpusSpec, DEFAULT_SNR_GRIDS, gold_prediction, read_manifest
-from emforge.metrics import TEXT_METRICS
+from emforge.metrics import TEXT_METRICS, ScoreReport
 
 SMALL_CONFIG = {
     "counts": {
@@ -528,6 +528,45 @@ class TestUnreadableInput:
         assert main([str(arg) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
         assert not out.exists()
+
+
+
+class TestUnwritableOutput:
+    @staticmethod
+    def _bad_path(tmp_path, kind):
+        if kind == "directory":
+            (tmp_path / "adir").mkdir()
+            return tmp_path / "adir"
+        return tmp_path / "nodir" / "out.txt"
+
+    @pytest.mark.parametrize("kind", ["no-parent", "directory"])
+    @pytest.mark.parametrize("flag", ["report", "csv", "per-record"])
+    def test_score_exit_2_before_any_output(self, tmp_path, capsys, flag, kind):
+        # One bad output path stops `score` before it writes a file or prints the table.
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(MANIFEST_RECORD) + "\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"sample_id": "mr-00000", "text": "<answer>B</answer>"}\n')
+        outputs = {name: tmp_path / f"r.{name}" for name in ("report", "csv", "per-record")}
+        outputs[flag] = self._bad_path(tmp_path, kind)
+        argv = ["score", "--manifest", manifest, "--predictions", preds]
+        for name, path in outputs.items():
+            argv += [f"--{name}", path]
+        assert main([str(arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}: ") and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
+            "manifest.jsonl", "preds.jsonl"
+        ]
+
+    @pytest.mark.parametrize("kind", ["no-parent", "directory"])
+    def test_report_csv_exit_2_before_printing(self, tmp_path, capsys, kind):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(ScoreReport().to_dict()))
+        bad = self._bad_path(tmp_path, kind)
+        assert main(["report", "--report", str(report), "--csv", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: csv: ") and captured.out == ""
 
 
 # The exact stdout of `emforge budget`, pinned across commits.

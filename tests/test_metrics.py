@@ -14,10 +14,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emforge.corpus import CorpusSpec, ManifestRecord, build_corpus
 from emforge.instrgen import TagKind
 from emforge.metrics import (
+    _CHUNK_TOKENS,
     BLEU_EPSILON,
     METEOR_ALPHA,
     METEOR_BETA,
@@ -25,6 +28,7 @@ from emforge.metrics import (
     NGRAM_ORDER,
     ROUGE_BETA,
     ScoreReport,
+    _free_positions,
     _lcs_len,
     _meteor,
     _meteor_alignment,
@@ -342,6 +346,20 @@ class TestMeteor:
             ids = vocab.intern(" ".join(ref)), vocab.intern(" ".join(cand))
             assert _meteor_alignment(ids[1], ids[0], vocab.stem_of.__getitem__) == want
 
+    def test_shared_exact_map_is_left_unchanged(self):
+        # One reference's exact-match map serves all its candidates; each takes from a copy.
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            ref = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
+            exact = _free_positions(ref)
+            before = {key: list(slots) for key, slots in exact.items()}
+            for _ in range(5):
+                cand = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
+                assert _meteor_alignment(cand, ref, _stem, exact) == oracle_meteor_alignment(
+                    cand, ref
+                )
+            assert exact == before
+
     def test_oracle_sweep_long_sentences(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
@@ -476,6 +494,56 @@ class TestGroupedTextScores:
         assert scores[3] is None
         assert self._check([], []) == []
 
+    def test_blank_and_punctuation_references(self):
+        refs = ["", "?!", "alpha bravo", "", ". ,", "alpha bravo"]
+        cands = ["alpha", "", "alpha bravo", "", "?!", ". ,"]
+        self._check(refs, cands)
+
+    def test_one_item_with_an_empty_candidate(self):
+        (scores,) = self._check(["alpha bravo"], [""])
+        assert scores == (0.0, 0.0, 0.0, None)
+
+    def test_all_distinct_references(self):
+        rng = np.random.default_rng(33)
+        refs = [f"{_random_sentence(rng, 30)} ref{i}" for i in range(300)]
+        self._check(refs, [_candidate(rng, ref, _WORDS) for ref in refs])
+
+    def test_repeated_pairs_interleaved(self):
+        # Each (reference, candidate) pair recurs between others in record order.
+        rng = np.random.default_rng(34)
+        pool = [_random_sentence(rng, 30, _STEM_WORDS) for _ in range(10)]
+        pairs = [(ref, _candidate(rng, ref, _STEM_WORDS)) for ref in pool for _ in range(3)]
+        items = [pairs[i] for i in rng.integers(0, len(pairs), 200)]
+        assert len(set(items)) < len(items)
+        got = self._check([ref for ref, _ in items], [cand for _, cand in items])
+        for item, scores in zip(items, got):
+            assert scores == got[items.index(item)]
+
+    def test_many_chunks(self):
+        # Enough distinct references for several chunks of the reference pass,
+        # and enough candidates for several chunks of the scoring pass.
+        rng = np.random.default_rng(35)
+        pool = [_random_sentence(rng, 40, _STEM_WORDS) for _ in range(600)]
+        refs = [pool[i] for i in rng.integers(0, len(pool), 1200)]
+        cands = [_candidate(rng, ref, _STEM_WORDS) for ref in refs]
+        assert sum(len(tokenize(ref)) for ref in set(refs)) > 2 * _CHUNK_TOKENS
+        assert sum(len(tokenize(cand)) for cand in cands) > 3 * _CHUNK_TOKENS
+        self._check(refs, cands)
+
+    def test_vocabulary_past_int64_token_id_4grams(self):
+        # Above 55,108 distinct tokens, a 4-gram code made straight from four
+        # token ids would overflow int64; prefix codes keep the keys small.
+        words = [f"w{i}" for i in range(55_200)]
+        refs = [" ".join(words[i : i + 200]) for i in range(0, len(words), 200)]
+        rng = np.random.default_rng(36)
+        cands = [
+            " ".join(ref.split()[j] for j in sorted(rng.choice(200, 12, replace=False)))
+            + f" new{i} w{i} new{i + 1}"
+            for i, ref in enumerate(refs)
+        ]
+        assert len({tok for ref in refs for tok in tokenize(ref)}) > 55_108
+        self._check(refs, cands)
+
     def test_mixed_golden_corpus(self):
         # The AJSD records and predictions of the pinned mixed-report test.
         from test_golden import mixed_predictions
@@ -486,6 +554,67 @@ class TestGroupedTextScores:
         ajsd = [r for r in records if r.task == "AJSD"]
         assert len(ajsd) == 200 and len({r.answer for r in ajsd}) < len(ajsd)
         self._check([r.answer for r in ajsd], [predictions.get(r.sample_id, "") for r in ajsd])
+
+
+
+# Prediction text a model might emit, or a broken pipeline might pass on:
+# any Unicode (control characters included), tag soup, nested tags, and
+# one token repeated thousands of times.
+_TAG_NAMES = ["answer", "value", "mode", "segment", "protocol", "device"]
+_PREDICTION_TEXT = st.one_of(
+    st.text(st.characters(), max_size=80),
+    st.text(st.sampled_from(list("<>/ ansvwerdmoe.,?!0123456789\n\t\x00\x1b\u00e9\u4e2d")), max_size=80),
+    st.builds(
+        lambda tag, inner: f"<{tag}><{tag}>{inner}</{tag}> </{tag}>",
+        st.sampled_from(_TAG_NAMES), st.text(st.characters(), max_size=20),
+    ),
+    st.builds(lambda word, n: " ".join([word] * n), st.text(st.characters(), min_size=1, max_size=6),
+              st.integers(300, 2000)),
+)
+_AJSD_ANSWERS = [
+    "No jamming is detected: the spectrum shows only the expected signal.",
+    "A narrowband tone jammer sits 1.2 MHz above the carrier; notch it out.",
+    "A sweep jammer crosses the band; apply frequency hopping.",
+]
+
+
+def _property_records():
+    records = [
+        _record("mr-00000", "MR", "MCQA", "B", snr=0.0, options=_OPTS),
+        _record("mr-00001", "MR", "OpenQA", "<mode>QPSK</mode>", snr=2.0),
+        _record("spe-00000", "SPE", "OpenQA", "<value>10.0</value>", snr=0.0,
+                gt={"value": 10.0, "tolerance": 1.0}),
+        _record("ssd-00000", "SSD", "OpenQA", "<segment>LFM</segment>", snr=4.0),
+    ]
+    answers = _AJSD_ANSWERS + _AJSD_ANSWERS[:2]
+    records += [_record(f"ajsd-{i:05d}", "AJSD", "OpenQA", a) for i, a in enumerate(answers)]
+    return records
+
+
+class TestArbitraryPredictionText:
+    """Properties over arbitrary prediction text (Hypothesis, derandomized)."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.none(), _PREDICTION_TEXT), min_size=9, max_size=9))
+    def test_score_predictions_never_raises(self, texts):
+        records = _property_records()
+        predictions = {r.sample_id: t for r, t in zip(records, texts) if t is not None}
+        report = score_predictions(records, predictions)
+        assert report.total == len(records) and report.ajsd["count"] == 5
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(_AJSD_ANSWERS), _PREDICTION_TEXT),
+                              _PREDICTION_TEXT), max_size=6))
+    def test_text_scores_equal_the_streaming_oracle(self, pairs):
+        # Repeat the drawn pairs, so both the shared references and the
+        # scored-once pairs are exercised.
+        pairs = pairs + pairs[::2]
+        references = [ref for ref, _ in pairs]
+        candidates = [cand for _, cand in pairs]
+        assert _text_scores(references, candidates) == list(
+            oracle_text_scores(references, candidates)
+        )
 
 
 class TestComposites:
