@@ -198,16 +198,17 @@ def meteor(candidate: str, reference: str) -> float:
 _CHUNK_TOKENS = 4096
 
 
-def _chunks(items, size) -> list[list]:
+def _chunks(items, size):
     """Consecutive runs of `items`, each closed once its `size`s reach _CHUNK_TOKENS."""
-    runs, run, total = [], [], 0
+    run, total = [], 0
     for item in items:
         run.append(item)
         total += size(item)
         if total >= _CHUNK_TOKENS:
-            runs.append(run)
+            yield run
             run, total = [], 0
-    return runs + [run] if run else runs
+    if run:
+        yield run
 
 
 def _flatten(seqs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,16 +224,18 @@ def _distinct(seq: np.ndarray, codes: np.ndarray):
     """(sequence, code, count) of each sequence's distinct codes, sequence
     by sequence, each in order of first occurrence. `seq` must be sorted."""
     n = len(codes)
-    # Sorting by (code, position) also keeps each sequence's run of a code together.
+    # The (code, position) keys are unique, so any sort orders them the same way,
+    # and each sequence's occurrences of a code end up in one run, earliest first.
     order = np.argsort(codes * n + np.arange(n))
     by_code, by_seq = codes[order], seq[order]
     new = np.ones(n, dtype=bool)
     new[1:] = (by_code[1:] != by_code[:-1]) | (by_seq[1:] != by_seq[:-1])
     starts = np.flatnonzero(new)
+    heads = order[starts]  # each run's first position
     first = np.zeros(n, dtype=bool)
-    first[order[starts]] = True
+    first[heads] = True
     count = np.zeros(n, dtype=np.int64)
-    count[order[starts]] = np.diff(np.r_[starts, n])
+    count[heads] = np.diff(np.r_[starts, n])
     return seq[first], codes[first], count[first]
 
 
@@ -323,14 +326,15 @@ class _NgramTables:
             out.append((at, code, width))
         return out
 
-    def score(self, refs: list, pairs: list, vocab_size: int) -> list[tuple[float, float]]:
-        """(BLEU4, CIDEr) of each (index into `refs`, candidate tokens) pair.
+    def score(self, groups: list, vocab_size: int) -> list[tuple[float, float]]:
+        """(BLEU4, CIDEr) of every candidate of the (reference, candidates) groups, in order.
 
-        `refs` and the candidates are coded together. Candidate n-grams no
-        reference has get fresh codes and the maximum IDF.
+        The references and candidates are coded together. Candidate n-grams
+        no reference has get fresh codes and the maximum IDF.
         """
-        cands = [cand for _, cand in pairs]
-        ref_of = np.array([r for r, _ in pairs], dtype=np.int64)
+        refs = [ref for ref, _ in groups]
+        cands = [cand for _, group in groups for cand in group]
+        ref_of = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
         tokens, seq, left = _flatten(refs + cands)
         sums = []
         for (at, code, width), idf in zip(self._codes(tokens, left, vocab_size), self.idf):
@@ -351,11 +355,11 @@ class _NgramTables:
             row = _rows(ref_keys, ref_of[pair] * width + gram)
             # Per pair: clipped matches, dot product and squared norm, then the reference norm.
             sums.append([
-                np.bincount(pair, weights=weights, minlength=len(pairs)).tolist()
+                np.bincount(pair, weights=weights, minlength=len(cands)).tolist()
                 for weights in (np.minimum(count, clip[row]), w * ref_w[row], w * w)
             ] + [ref_norm[ref_of].tolist()])
         scores = []
-        for i, (r, cand) in enumerate(pairs):
+        for i, (cand, r) in enumerate(zip(cands, ref_of.tolist())):
             cand_len, ref_len = len(cand), len(refs[r])
             log_sum = 0.0
             cider_sum = 0.0
@@ -410,27 +414,24 @@ def _text_scores(references: list[str], candidates: list[str]) -> list[tuple]:
     uses = [sum(map(len, group.values())) for group in groups.values()]
     tables = _NgramTables(refs, uses, n_docs, len(vocab.ids))
     stem = vocab.stem_of.__getitem__
+
+    def scored_groups():
+        # Per reference: its tokens, its candidates' tokens and their (ROUGE-L, METEOR, items).
+        for ref, group in zip(refs, groups.values()):
+            exact = _free_positions(ref)
+            cands = [vocab.intern(text) for text in group]
+            rows = [(_rouge_l(cand, ref), _meteor(cand, ref, stem, exact), items)
+                    for cand, items in zip(cands, group.values())]
+            yield ref, cands, rows
+
     scores: list = [None] * n_docs
-    chunk_refs: list = []
-    chunk: list = []
-    chunk_tokens = 0
-    for r, (ref, group) in enumerate(zip(refs, groups.values())):
-        exact = _free_positions(ref)
-        for text, rows in group.items():
-            cand = vocab.intern(text)
-            rouge, met = _rouge_l(cand, ref), _meteor(cand, ref, stem, exact)
-            chunk.append((len(chunk_refs), cand, rouge, met, rows))
-            chunk_tokens += len(cand)
-        chunk_refs.append(ref)
-        chunk_tokens += len(ref)
-        if chunk_tokens < _CHUNK_TOKENS and r < len(refs) - 1:
-            continue
-        bleu_cider = tables.score(chunk_refs, [(k, cand) for k, cand, *_ in chunk], len(vocab.ids))
-        for (_, _, rouge, met, rows), (bleu, cider_score) in zip(chunk, bleu_cider):
-            item = (bleu, rouge, met, cider_score if n_docs >= 2 else None)
-            for i in rows:
-                scores[i] = item
-        chunk_refs, chunk, chunk_tokens = [], [], 0
+    for chunk in _chunks(scored_groups(), lambda g: len(g[0]) + sum(map(len, g[1]))):
+        bleu_cider = tables.score([(ref, cands) for ref, cands, _ in chunk], len(vocab.ids))
+        rows = chain.from_iterable(rows for _, _, rows in chunk)
+        for (rouge, met, items), (bleu, cider_score) in zip(rows, bleu_cider):
+            scored = (bleu, rouge, met, cider_score if n_docs >= 2 else None)
+            for i in items:
+                scores[i] = scored
     return scores
 
 
