@@ -264,11 +264,11 @@ class _NgramTables:
     N-grams are numbered per order n. An n-gram's key is its (n-1)-gram's
     code times `n_tokens` plus its last token, so a key stays below
     (tokens)^2 for any vocabulary size. Per order, a table sorted by key
-    gives each reference n-gram's code, numbered in order of first
-    appearance. Token ids below `n_tokens` are exactly the reference
-    tokens: the vocabulary interned the references first. The constructor
-    walks the references once, in chunks, filling the tables and CIDEr's
-    document frequencies.
+    gives each reference n-gram's code; codes are handed out chunk by
+    chunk as n-grams first appear, so no code ever changes. Token ids
+    below `n_tokens` are exactly the reference tokens: the vocabulary
+    interned the references first. The constructor walks the references
+    once, in chunks, filling the tables and CIDEr's document frequencies.
 
     Every float sum is an `np.bincount` with weights over entries laid out
     sequence by sequence, each sequence's distinct n-grams in order of
@@ -406,7 +406,7 @@ def _text_scores(references: list[str], candidates: list[str]) -> list[tuple]:
     if not references:
         return []
     groups: dict[str, dict[str, list[int]]] = {}
-    for i, (ref, cand) in enumerate(zip(references, candidates)):
+    for i, (ref, cand) in enumerate(zip(references, candidates, strict=True)):
         groups.setdefault(ref, {}).setdefault(cand, []).append(i)
     vocab = _Vocab()
     refs = [vocab.intern(text) for text in groups]

@@ -499,6 +499,10 @@ class TestGroupedTextScores:
         cands = ["alpha", "", "alpha bravo", "", "?!", ". ,"]
         self._check(refs, cands)
 
+    def test_unpaired_items_rejected(self):
+        with pytest.raises(ValueError):
+            _text_scores(["alpha bravo", "charlie"], ["alpha"])
+
     def test_one_item_with_an_empty_candidate(self):
         (scores,) = self._check(["alpha bravo"], [""])
         assert scores == (0.0, 0.0, 0.0, None)
@@ -554,67 +558,6 @@ class TestGroupedTextScores:
         ajsd = [r for r in records if r.task == "AJSD"]
         assert len(ajsd) == 200 and len({r.answer for r in ajsd}) < len(ajsd)
         self._check([r.answer for r in ajsd], [predictions.get(r.sample_id, "") for r in ajsd])
-
-
-
-# Prediction text a model might emit, or a broken pipeline might pass on:
-# any Unicode (control characters included), tag soup, nested tags, and
-# one token repeated thousands of times.
-_TAG_NAMES = ["answer", "value", "mode", "segment", "protocol", "device"]
-_PREDICTION_TEXT = st.one_of(
-    st.text(st.characters(), max_size=80),
-    st.text(st.sampled_from(list("<>/ ansvwerdmoe.,?!0123456789\n\t\x00\x1b\u00e9\u4e2d")), max_size=80),
-    st.builds(
-        lambda tag, inner: f"<{tag}><{tag}>{inner}</{tag}> </{tag}>",
-        st.sampled_from(_TAG_NAMES), st.text(st.characters(), max_size=20),
-    ),
-    st.builds(lambda word, n: " ".join([word] * n), st.text(st.characters(), min_size=1, max_size=6),
-              st.integers(300, 2000)),
-)
-_AJSD_ANSWERS = [
-    "No jamming is detected: the spectrum shows only the expected signal.",
-    "A narrowband tone jammer sits 1.2 MHz above the carrier; notch it out.",
-    "A sweep jammer crosses the band; apply frequency hopping.",
-]
-
-
-def _property_records():
-    records = [
-        _record("mr-00000", "MR", "MCQA", "B", snr=0.0, options=_OPTS),
-        _record("mr-00001", "MR", "OpenQA", "<mode>QPSK</mode>", snr=2.0),
-        _record("spe-00000", "SPE", "OpenQA", "<value>10.0</value>", snr=0.0,
-                gt={"value": 10.0, "tolerance": 1.0}),
-        _record("ssd-00000", "SSD", "OpenQA", "<segment>LFM</segment>", snr=4.0),
-    ]
-    answers = _AJSD_ANSWERS + _AJSD_ANSWERS[:2]
-    records += [_record(f"ajsd-{i:05d}", "AJSD", "OpenQA", a) for i, a in enumerate(answers)]
-    return records
-
-
-class TestArbitraryPredictionText:
-    """Properties over arbitrary prediction text (Hypothesis, derandomized)."""
-
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-    @given(st.lists(st.one_of(st.none(), _PREDICTION_TEXT), min_size=9, max_size=9))
-    def test_score_predictions_never_raises(self, texts):
-        records = _property_records()
-        predictions = {r.sample_id: t for r, t in zip(records, texts) if t is not None}
-        report = score_predictions(records, predictions)
-        assert report.total == len(records) and report.ajsd["count"] == 5
-        json.dumps(report.to_dict(), allow_nan=False)
-
-    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.one_of(st.sampled_from(_AJSD_ANSWERS), _PREDICTION_TEXT),
-                              _PREDICTION_TEXT), max_size=6))
-    def test_text_scores_equal_the_streaming_oracle(self, pairs):
-        # Repeat the drawn pairs, so both the shared references and the
-        # scored-once pairs are exercised.
-        pairs = pairs + pairs[::2]
-        references = [ref for ref, _ in pairs]
-        candidates = [cand for _, cand in pairs]
-        assert _text_scores(references, candidates) == list(
-            oracle_text_scores(references, candidates)
-        )
 
 
 class TestComposites:
@@ -781,3 +724,66 @@ class TestLoadPredictions:
         path.write_text('{"sample_id": "a", "text": "x"}\n{"sample_id": "a", "text": "y"}\n')
         with pytest.raises(ValueError, match="duplicate"):
             load_predictions(path)
+
+
+# Prediction text a model might emit, or a broken pipeline might pass on:
+# any Unicode (control characters included), tag soup, nested tags, and
+# one token repeated thousands of times.
+_TAG_NAMES = ["answer", "value", "mode", "segment", "protocol", "device"]
+_PREDICTION_TEXT = st.one_of(
+    st.text(st.characters(), max_size=80),
+    st.text(st.sampled_from(list("<>/ ansvwerdmoe.,?!0123456789\n\t\x00\x1b\u00e9\u4e2d")),
+            max_size=80),
+    st.builds(
+        lambda tag, inner: f"<{tag}><{tag}>{inner}</{tag}> </{tag}>",
+        st.sampled_from(_TAG_NAMES), st.text(st.characters(), max_size=20),
+    ),
+    st.builds(
+        lambda word, n: " ".join([word] * n),
+        st.text(st.characters(), min_size=1, max_size=6), st.integers(300, 2000),
+    ),
+)
+_AJSD_ANSWERS = [
+    "No jamming is detected: the spectrum shows only the expected signal.",
+    "A narrowband tone jammer sits 1.2 MHz above the carrier; notch it out.",
+    "A sweep jammer crosses the band; apply frequency hopping.",
+]
+
+
+def _property_records():
+    records = [
+        _record("mr-00000", "MR", "MCQA", "B", snr=0.0, options=_OPTS),
+        _record("mr-00001", "MR", "OpenQA", "<mode>QPSK</mode>", snr=2.0),
+        _record("spe-00000", "SPE", "OpenQA", "<value>10.0</value>", snr=0.0,
+                gt={"value": 10.0, "tolerance": 1.0}),
+        _record("ssd-00000", "SSD", "OpenQA", "<segment>LFM</segment>", snr=4.0),
+    ]
+    answers = _AJSD_ANSWERS + _AJSD_ANSWERS[:2]
+    records += [_record(f"ajsd-{i:05d}", "AJSD", "OpenQA", a) for i, a in enumerate(answers)]
+    return records
+
+
+class TestArbitraryPredictionText:
+    """Properties over arbitrary prediction text (Hypothesis, derandomized)."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.none(), _PREDICTION_TEXT), min_size=9, max_size=9))
+    def test_score_predictions_never_raises(self, texts):
+        records = _property_records()
+        predictions = {r.sample_id: t for r, t in zip(records, texts) if t is not None}
+        report = score_predictions(records, predictions)
+        assert report.total == len(records) and report.ajsd["count"] == 5
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(_AJSD_ANSWERS), _PREDICTION_TEXT),
+                              _PREDICTION_TEXT), max_size=6))
+    def test_text_scores_equal_the_streaming_oracle(self, pairs):
+        # Repeat the drawn pairs, so both the shared references and the
+        # scored-once pairs are exercised.
+        pairs = pairs + pairs[::2]
+        references = [ref for ref, _ in pairs]
+        candidates = [cand for _, cand in pairs]
+        assert _text_scores(references, candidates) == list(
+            oracle_text_scores(references, candidates)
+        )
