@@ -63,6 +63,7 @@ def _load_spec(args) -> CorpusSpec:
 def cmd_build(args) -> int:
     spec = _load_spec(args)
     out_dir = args.out or _default_out()
+    _check_out_dir(out_dir)
     train, bench = build_corpus(spec, out_dir, workers=args.workers)
     records = train + bench
     per_format = Counter((r.task, r.format) for r in records)
@@ -101,6 +102,7 @@ def cmd_render(args) -> int:
     if args.snr is not None and not math.isfinite(args.snr):
         raise ConfigError("snr", f"must be a finite number of dB, got {args.snr}")
     out_dir = args.out or _default_out()
+    _check_out_dir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     sig = _render_signal(args)
     params = RenderParams(constellation_stride=8 if args.kind not in ("noise", "radar") else 4)
@@ -123,6 +125,17 @@ def _check_outputs(*outputs) -> None:
         parent = os.path.dirname(path) or os.curdir
         if not os.path.isdir(parent):
             raise ConfigError(flag, f"{path}: no such directory {parent}")
+
+
+def _check_out_dir(path) -> None:
+    """Raise ConfigError for an output directory that cannot be made because
+    it, or the nearest part of its path that exists, is not a directory."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        where = "" if existing == path else f"{existing} "
+        raise ConfigError("out", f"{path}: {where}is not a directory")
 
 
 def cmd_score(args) -> int:

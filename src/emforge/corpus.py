@@ -15,7 +15,7 @@ import math
 import os
 import re
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
@@ -23,7 +23,7 @@ from typing import get_type_hints
 
 from . import builders, png
 from .builders import _largest_remainder
-from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER, answer_tag
+from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER
 
 # perfbench's tracer patches builders.draft_record and, here, _build_one, render_view,
 # encode_png, assign_split, stratified_bench and write_manifest by name: keep them.
@@ -101,6 +101,19 @@ DEFAULT_SPLIT_SALT = "emforge-split-v1"
 TASK_ORDER = tuple(BENCH_COMPOSITION)
 # Record formats, in the order per-task report rows list them.
 FORMATS = ("MCQA", "OpenQA")
+# (task, format) -> the tag that wraps a record's answer: `answer` for MCQA,
+# else the task's own.
+ANSWER_TAGS = {
+    (task, fmt): TagKind.ANSWER if fmt == "MCQA" else tag
+    for task, tag in TASK_TAGS.items()
+    for fmt in FORMATS
+}
+# Each tag's pattern for a whole tag-wrapped OpenQA answer.
+_WRAPPED_ANSWERS = {
+    tag: re.compile(rf"<{tag.value}>.+</{tag.value}>", re.DOTALL)
+    for tag in TagKind
+    if tag is not TagKind.NONE
+}
 
 # Each build process runs one PNG encoder thread, with one view queued
 # behind the view it compresses: more threads or a deeper queue bought no
@@ -290,8 +303,15 @@ _FIELD_READERS = {name: _reader(kind) for name, kind in get_type_hints(CorpusSpe
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class ManifestRecord:
+    """One manifest line; see docs/manifest_schema.md for the fields.
+
+    Slotted, so a record holds no per-instance dict. Records from one
+    `read_manifest` call share their equal strings and `options` tuples;
+    no record shares a dict or list with another.
+    """
+
     sample_id: str
     task: str
     format: str
@@ -325,9 +345,9 @@ class ManifestRecord:
             raise ValueError(f"unknown task {self.task!r}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
-        tag = answer_tag(self.task, self.format).value
-        if self.tag != tag:
-            raise ValueError(f"{self.task} {self.format} records use the {tag} tag")
+        tag = ANSWER_TAGS[self.task, self.format]
+        if self.tag != tag.value:
+            raise ValueError(f"{self.task} {self.format} records use the {tag.value} tag")
         if self.format == "MCQA":
             if self.options is None or len(self.options) != 5:
                 raise ValueError("MCQA records carry exactly 5 options")
@@ -337,9 +357,7 @@ class ManifestRecord:
                 raise ValueError("MCQA answer must be an option letter")
         elif self.options is not None:
             raise ValueError("OpenQA records carry no options")
-        elif self.tag != TagKind.NONE.value and not re.fullmatch(
-            rf"<{self.tag}>.+</{self.tag}>", self.answer, re.DOTALL
-        ):
+        elif tag is not TagKind.NONE and not _WRAPPED_ANSWERS[tag].fullmatch(self.answer):
             raise ValueError("tagged OpenQA answers must be tag-wrapped")
         if not isinstance(self.ground_truth, dict):
             raise ValueError("ground_truth must be an object")
@@ -365,7 +383,7 @@ MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestRecord))
 
 
 def _is_str_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+    return isinstance(value, (list, tuple)) and all(map(isinstance, value, repeat(str)))
 
 
 def assign_split(sample_id: str, salt: str, bench_fraction: float) -> str:
@@ -473,7 +491,7 @@ def _build_one(sample_id: str, task: str, fmt: str, draft, spec: CorpusSpec, out
         question=draft.question,
         options=draft.options,
         answer=draft.answer,
-        tag=answer_tag(task, fmt).value,
+        tag=ANSWER_TAGS[task, fmt].value,
         snr_db=draft.snr_db,
         ground_truth=draft.ground_truth,
         split=assign_split(sample_id, spec.split_salt, spec.bench_fraction),
@@ -563,6 +581,9 @@ def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool 
     if workers > 1:
         # This process starts no encoder thread, so none is alive when the
         # pool forks; each worker runs the record loop, with its own encoder, per chunk.
+        # Imported here: multiprocessing costs every other command its import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [jobs[i : i + _POOL_CHUNK] for i in range(0, len(jobs), _POOL_CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_build_records, chunks, repeat(spec), repeat(out_dir), repeat(render))
@@ -624,11 +645,46 @@ def read_jsonl(path, kind: str, parse) -> dict:
     return rows
 
 
-def _manifest_row(data) -> tuple[str, ManifestRecord]:
-    record = ManifestRecord.from_dict(data)
-    return record.sample_id, record
+# The string fields whose values repeat across a manifest. sample_id, view_paths
+# and content_hash are unique per record, so sharing them would only grow the table.
+_SHARED_STRINGS = ("task", "format", "tag", "split", "question", "answer")
 
 
 def read_manifest(path) -> list[ManifestRecord]:
-    """The records of a manifest; a malformed line or a repeated sample_id raises ValueError."""
-    return list(read_jsonl(path, "manifest", _manifest_row).values())
+    """The records of a manifest; a malformed line or a repeated sample_id raises ValueError.
+
+    Equal values are one object across the returned records: the `task`,
+    `format`, `tag`, `split`, `question` and `answer` strings, the `options`
+    tuples and their strings, and every string key and string value inside
+    `ground_truth`. Only strings and tuples of strings are shared, never
+    numbers (True == 1 == 1.0 would alias values of different types) and
+    never a container: each record gets its own `ground_truth` dicts and
+    lists, in the file's key order. The sharing table lives for this call only.
+    """
+    table = {}
+    setdefault = table.setdefault
+
+    # Values come from json.loads, so their types are exact.
+    def share(value):
+        kind = type(value)
+        if kind is str:
+            return setdefault(value, value)
+        if kind is dict:
+            return {setdefault(k, k): share(v) for k, v in value.items()}
+        if kind is list:
+            return [share(v) for v in value]
+        return value
+
+    # The record validates the values as read, then takes the shared ones.
+    def row(data) -> tuple[str, ManifestRecord]:
+        record = ManifestRecord.from_dict(data)
+        for name in _SHARED_STRINGS:
+            value = getattr(record, name)
+            setattr(record, name, setdefault(value, value))
+        if record.options is not None:
+            options = tuple(map(share, record.options))
+            record.options = setdefault(options, options)
+        record.ground_truth = share(record.ground_truth)
+        return record.sample_id, record
+
+    return list(read_jsonl(path, "manifest", row).values())

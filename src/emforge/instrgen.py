@@ -223,11 +223,6 @@ TASK_TAGS = {
 }
 
 
-def answer_tag(task: str, fmt: str) -> TagKind:
-    """The tag that wraps a record's answer: `answer` for MCQA, else the task's own."""
-    return TagKind.ANSWER if fmt == "MCQA" else TASK_TAGS[task]
-
-
 def _pick(variants, seed: int) -> str:
     return variants[int(np.random.default_rng(seed).integers(len(variants)))]
 

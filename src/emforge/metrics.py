@@ -48,8 +48,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .corpus import FORMATS, read_jsonl
-from .instrgen import TagKind, answer_tag
+from .corpus import ANSWER_TAGS, FORMATS, read_jsonl
+from .instrgen import TagKind
 
 BLEU_EPSILON = 1e-9
 ROUGE_BETA = 1.2
@@ -448,11 +448,19 @@ def ajsd_composite(b: float, r: float, m: float, c: float) -> float:
     return mean_of_four(b, r, m, c) * 100.0
 
 
+# Each tag's pattern for its first <tag>...</tag> payload, across lines.
+_TAG_PAYLOADS = {
+    tag: re.compile(rf"<{tag.value}>(.*?)</{tag.value}>", re.DOTALL)
+    for tag in TagKind
+    if tag is not TagKind.NONE
+}
+
+
 def parse_tag(text: str, tag: TagKind) -> str | None:
     """First well-formed <tag>...</tag> payload, trimmed; None if absent."""
     if tag is TagKind.NONE:
         return text.strip() or None
-    match = re.search(rf"<{tag.value}>(.*?)</{tag.value}>", text, re.DOTALL)
+    match = _TAG_PAYLOADS[tag].search(text)
     return match.group(1).strip() if match else None
 
 
@@ -542,7 +550,7 @@ def record_correctness(record, text: str) -> tuple[bool, bool]:
     SPE OpenQA applies the record's numeric tolerance window, all other
     OpenQA payloads match the canonical label under case folding.
     """
-    tag = answer_tag(record.task, record.format)
+    tag = ANSWER_TAGS[record.task, record.format]
     payload = parse_tag(text, tag) if text else None
     if payload is None:
         return False, False

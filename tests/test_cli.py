@@ -568,6 +568,22 @@ class TestUnwritableOutput:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: csv: ") and captured.out == ""
 
+    @pytest.mark.parametrize("command", [
+        ["build", "--total", "1000"], ["render", "--kind", "BPSK"],
+    ], ids=["build", "render"])
+    @pytest.mark.parametrize("under", ["", "sub/dir"], ids=["file", "under-file"])
+    def test_out_naming_a_file_exit_2_before_writing(self, tmp_path, capsys, command, under):
+        # `--out` must be, or be creatable as, a directory.
+        blocker = tmp_path / "F"
+        blocker.write_text("keep")
+        out = os.path.join(blocker, under) if under else str(blocker)
+        assert main([*command, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: out: {out}: " + (
+            f"{blocker} is not a directory\n" if under else "is not a directory\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+        assert blocker.read_text() == "keep"
+
 
 # The exact stdout of `emforge budget`, pinned across commits.
 BUDGET_TABLE = """\

@@ -4,7 +4,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -463,6 +467,153 @@ class TestManifestIo:
         assert gold_prediction(mcqa) == f"<answer>{mcqa.answer}</answer>"
         openqa = _task_records("SPE", 2, 0)[0]
         assert gold_prediction(openqa) == openqa.answer
+
+    @pytest.mark.parametrize(
+        "task,tag,answer,ok",
+        [
+            ("MR", "mode", "<mode>QPSK</mode>", True),
+            ("MR", "mode", "<mode>two\nlines</mode>", True),
+            ("MR", "mode", "QPSK", False),
+            ("MR", "mode", "<mode></mode>", False),
+            ("MR", "mode", "<mode>QPSK</mode> trailing", False),
+            ("MR", "mode", "<segment>QPSK</segment>", False),
+            ("SSD", "segment", "<segment>radar</segment>", True),
+            ("AJSD", "none", "free text, no tag", True),
+        ],
+    )
+    def test_openqa_answer_wrapped_in_its_tag(self, task, tag, answer, ok):
+        args = ("x", task, "OpenQA", ("a", "b", "c", "d"), "q", None, answer, tag, None, {},
+                "train", "0" * 64)
+        if ok:
+            ManifestRecord(*args)
+        else:
+            with pytest.raises(ValueError, match="tag-wrapped"):
+                ManifestRecord(*args)
+
+
+def _objects(value):
+    """Every dict and list inside a ground_truth value, itself included."""
+    found = []
+    if isinstance(value, dict):
+        found.append(value)
+        for v in value.values():
+            found += _objects(v)
+    elif isinstance(value, list):
+        found.append(value)
+        for v in value:
+            found += _objects(v)
+    return found
+
+
+class TestSharedManifestRecords:
+    """read_manifest shares equal strings and options tuples, never a container."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        train, bench = build_corpus(_small_spec(), render=False)
+        path = tmp_path_factory.mktemp("shared") / "manifest.jsonl"
+        write_manifest(train + bench, path)
+        return path
+
+    def test_equal_values_are_one_object(self, manifest):
+        records = read_manifest(manifest)
+        assert {r.task for r in records} == set(corpus.TASK_ORDER)
+        for name in ("task", "format", "tag", "split", "question", "answer", "options"):
+            first = {}
+            for r in records:
+                value = getattr(r, name)
+                if value is not None:
+                    assert first.setdefault(value, value) is value, (name, r.sample_id)
+            assert len(first) < len(records), name
+        keys, strings = {}, {}
+        for r in records:
+            for obj in _objects(r.ground_truth):
+                if isinstance(obj, dict):
+                    for k, v in obj.items():
+                        assert keys.setdefault(k, k) is k
+                        if isinstance(v, str):
+                            assert strings.setdefault(v, v) is v
+        assert {"segment_class", "modulation", "jammers", "kind"} <= keys.keys()
+        options = [o for r in records if r.options for o in r.options]
+        assert all(o is strings.setdefault(o, o) for o in options if o == "Unable to answer")
+
+    def test_records_share_no_container(self, manifest):
+        records, original = read_manifest(manifest), read_manifest(manifest)
+        containers = [obj for r in records for obj in _objects(r.ground_truth)]
+        assert len({id(obj) for obj in containers}) == len(containers)
+        ajsd = next(r for r in records if r.task == "AJSD" and r.ground_truth["jammers"])
+        ajsd.ground_truth["jammers"][0]["kind"] = "changed"
+        ajsd.ground_truth["jammers"].append({})
+        ajsd.ground_truth["added"] = 1
+        records[0].ground_truth.clear()
+        changed = [r.sample_id for r, o in zip(records, original) if r != o]
+        assert changed == sorted([records[0].sample_id, ajsd.sample_id])
+        assert read_manifest(manifest) == original
+
+    def test_numbers_keep_their_types(self, tmp_path):
+        # True == 1 == 1.0, so sharing numbers would hand one record another's type.
+        row = {
+            "sample_id": "ajsd-00000", "task": "AJSD", "format": "OpenQA",
+            "view_paths": ["a", "b", "c", "d"], "question": "q", "options": None,
+            "answer": "text", "tag": "none", "snr_db": None, "split": "bench",
+            "content_hash": "0" * 64,
+        }
+        values = [True, 1, 1.0, "1", [1.0, True], {"1": 1}]
+        path = tmp_path / "manifest.jsonl"
+        path.write_text("".join(
+            json.dumps({**row, "sample_id": f"ajsd-{i:05d}", "ground_truth": {"v": v}}) + "\n"
+            for i, v in enumerate(values)
+        ))
+        got = [r.ground_truth["v"] for r in read_manifest(path)]
+        assert got == values
+        assert [type(v) for v in got] == [type(v) for v in values]
+        assert [type(v) for v in got[4]] == [float, bool]
+        assert type(got[5]["1"]) is int
+
+    def test_write_of_read_reproduces_the_file(self, manifest, tmp_path):
+        again = tmp_path / "again.jsonl"
+        write_manifest(read_manifest(manifest), again)
+        assert again.read_bytes() == manifest.read_bytes()
+
+    def test_slotted_record_pickles_back_equal(self, manifest):
+        records = read_manifest(manifest)
+        assert not hasattr(records[0], "__dict__")
+        with pytest.raises(AttributeError):
+            records[0].extra = 1
+        assert pickle.loads(pickle.dumps(records)) == records
+
+    def test_two_worker_build_returns_equal_records(self):
+        spec = _small_spec()
+        assert build_corpus(spec, render=False, workers=2) == build_corpus(spec, render=False)
+
+    def test_errors_name_path_and_line(self, manifest, tmp_path):
+        lines = manifest.read_text().splitlines(keepends=True)
+        path = tmp_path / "manifest.jsonl"
+        bad_row = {**json.loads(lines[0]), "sample_id": "zz-00000", "question": 5}
+        for extra, message in [
+            (lines[1], "duplicate sample_id"),
+            (json.dumps(bad_row) + "\n", r"malformed manifest line \(question must be a string\)"),
+            ("[1, 2]\n", "malformed manifest line"),
+        ]:
+            path.write_text(lines[0] + lines[1] + extra)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {message}"):
+                read_manifest(path)
+
+    def test_import_starts_no_process_machinery(self):
+        # Only a multi-worker build needs multiprocessing; importing emforge loads none of it.
+        code = (
+            "import sys, emforge\n"
+            "from emforge import builders, corpus, metrics, png\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+            " if m in sys.modules))\n"
+        )
+        src = str(Path(corpus.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
 
 class TestSchemas:
