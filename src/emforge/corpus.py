@@ -664,15 +664,20 @@ def read_manifest(path) -> list[ManifestRecord]:
     table = {}
     setdefault = table.setdefault
 
-    # Values come from json.loads, so their types are exact.
+    # Values come from json.loads, so their types are exact. One frame per
+    # nesting level (no comprehension frames), so any depth json.loads
+    # accepted stays within the recursion limit.
     def share(value):
         kind = type(value)
         if kind is str:
             return setdefault(value, value)
         if kind is dict:
-            return {setdefault(k, k): share(v) for k, v in value.items()}
+            rebuilt = {}
+            for k, v in value.items():
+                rebuilt[setdefault(k, k)] = share(v)
+            return rebuilt
         if kind is list:
-            return [share(v) for v in value]
+            return list(map(share, value))
         return value
 
     # The record validates the values as read, then takes the shared ones.
