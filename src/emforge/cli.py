@@ -9,32 +9,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import Counter
 
-import numpy as np
-
 from . import budget as budget_mod
 from . import metrics
-from .builders import modulated_payload
-from .corpus import ConfigError, CorpusSpec, build_corpus, desk_scale_counts, read_manifest
-from .png import encode_png
-from .signal import IqSignal
-from .synth import (
-    Cw,
-    ModulationKind,
-    RadarPulseSpec,
-    apply_awgn,
-    gen_noise,
-    gen_radar_pulse_train,
+from .corpus import (
+    ConfigError,
+    CorpusSpec,
+    build_corpus,
+    build_record,
+    desk_scale_counts,
+    read_manifest,
 )
-from .views import RenderParams, VIEW_ORDER, render_view
 
 ENV_OUT_DIR = "EMFORGE_OUT"
-
-RENDER_KINDS = tuple(k.value for k in ModulationKind) + ("noise", "radar")
 
 
 def _default_out() -> str:
@@ -82,35 +72,17 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _render_signal(args) -> IqSignal:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    fs = 10e6
-    if args.kind == "noise":
-        return gen_noise(4096, fs, int(rng.integers(2**62)))
-    if args.kind == "radar":
-        sig = gen_radar_pulse_train(RadarPulseSpec(4.0, 20.0, 4, 10.0, Cw()), 409.6, fs)
-    else:
-        sig = modulated_payload(ModulationKind(args.kind), 4096, 8, 1e6, rng)
-    if args.snr is not None:
-        sig = apply_awgn(sig, args.snr, int(rng.integers(2**62)))
-    return sig
-
-
 def cmd_render(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError("seed", f"must be nonnegative, got {args.seed}")
-    if args.snr is not None and not math.isfinite(args.snr):
-        raise ConfigError("snr", f"must be a finite number of dB, got {args.snr}")
+    spec = _load_spec(args)
     out_dir = args.out or _default_out()
     _check_out_dir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    sig = _render_signal(args)
-    params = RenderParams(constellation_stride=8 if args.kind not in ("noise", "radar") else 4)
-    for kind in VIEW_ORDER:
-        path = os.path.join(out_dir, f"{args.kind}_{kind.value}.png")
-        with open(path, "wb") as fh:
-            fh.write(encode_png(render_view(sig, kind, params)))
-        print(path)
+    record = build_record(spec, args.sample_id, out_dir)
+    for rel_path in record.view_paths:
+        print(os.path.join(out_dir, rel_path))
+    # The corpus build may still promote the record to bench, so its split is left out.
+    row = record.to_dict()
+    del row["split"]
+    print(json.dumps(row, sort_keys=True, ensure_ascii=False))
     return 0
 
 
@@ -208,21 +180,25 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="synthesize the corpus, views, and manifests")
-    p_build.add_argument("--config", help="JSON config file defining the corpus")
-    p_build.add_argument("--seed", type=int, help="override the config's global seed")
-    p_build.add_argument(
+    # The flags that define a corpus, and where it goes.
+    spec_flags = argparse.ArgumentParser(add_help=False)
+    spec_flags.add_argument("--config", help="JSON config file defining the corpus")
+    spec_flags.add_argument("--seed", type=int, help="override the config's global seed")
+    spec_flags.add_argument(
         "--total", type=int, help="benchmark-table-proportional total record count"
     )
+    spec_flags.add_argument(
+        "--out", help=f"output directory (default ${ENV_OUT_DIR} or emforge-out)"
+    )
+
+    p_build = sub.add_parser(
+        "build", parents=[spec_flags], help="synthesize the corpus, views, and manifests"
+    )
     p_build.add_argument("--workers", type=int, default=1, help="worker processes, N >= 1")
-    p_build.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or emforge-out)")
     p_build.set_defaults(func=cmd_build)
 
-    p_render = sub.add_parser("render", help="render the four views of one synthetic signal")
-    p_render.add_argument("--kind", required=True, choices=RENDER_KINDS)
-    p_render.add_argument("--snr", type=float, help="optional AWGN level in dB")
-    p_render.add_argument("--seed", type=int, help="payload/noise seed")
-    p_render.add_argument("--out", help="output directory")
+    p_render = sub.add_parser("render", parents=[spec_flags], help="build one corpus record")
+    p_render.add_argument("--sample-id", required=True, help="the record to build, e.g. mr-00007")
     p_render.set_defaults(func=cmd_render)
 
     p_score = sub.add_parser("score", help="score a predictions file against a bench manifest")

@@ -181,9 +181,10 @@ class CorpusSpec:
         return cls(counts=desk_scale_counts(total), **overrides)
 
     def validate(self) -> None:
-        for task in self.counts:
-            if task not in TASK_ORDER:
-                raise ConfigError("counts", f"unknown task family {task!r}")
+        for name in ("counts", "sample_rates"):
+            for task in getattr(self, name):
+                if task not in TASK_ORDER:
+                    raise ConfigError(name, f"unknown task family {task!r}")
         for task, pair in self.counts.items():
             if len(pair) != 2 or any(int(c) < 0 for c in pair):
                 raise ConfigError("counts", f"{task} counts must be two nonnegative integers")
@@ -561,6 +562,28 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
 def _task_jobs(task: str, spec: CorpusSpec):
     openqa, mcqa = spec.counts.get(task, (0, 0))
     return [(task, i, "OpenQA" if i < openqa else "MCQA") for i in range(openqa + mcqa)]
+
+
+def build_record(spec: CorpusSpec, sample_id: str, out_dir) -> ManifestRecord:
+    """Build one record of the corpus `spec` defines, writing its four PNGs
+    under out_dir/images.
+
+    The PNGs and the record are those build_corpus makes for `sample_id`,
+    except `split`, which stays the hash assignment: stratifying the whole
+    task may still promote the record to bench. An id that names no record
+    of `spec` raises ConfigError before anything is created.
+    """
+    spec.validate()
+    jobs = [
+        job
+        for task in TASK_ORDER
+        for job in _task_jobs(task, spec)
+        if builders.record_id(task, job[1]) == sample_id
+    ]
+    if not jobs:
+        raise ConfigError("sample-id", f"{sample_id!r} names no record of this corpus")
+    os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
+    return _build_records(jobs, spec, out_dir, render=True)[0]
 
 
 def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool = True):

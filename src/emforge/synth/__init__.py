@@ -1,14 +1,12 @@
 """Ground-truth-labeled signal synthesis: modulations, radar trains,
 protocol bursts, jamming scenes, noise, and channel/device impairments."""
 
-from .channel import apply_awgn, complex_gaussian, gen_noise
-from .impairments import CFO_CARRIER_FRACTION, DeviceProfile, apply_device_profile
+from .channel import apply_awgn, gen_noise
+from .impairments import DeviceProfile, apply_device_profile
 from .jamming import JAMMER_KINDS, Jammer, JammingScene, gen_jamming_scene
 from .modulations import (
     ANALOG_KINDS,
     BITS_PER_SYMBOL,
-    CPM_KINDS,
-    LINEAR_KINDS,
     ModulationKind,
     constellation,
     cyclic_filter,

@@ -4,13 +4,16 @@ import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import emforge
-from emforge.cli import _load_spec, main
+from emforge.cli import _load_spec, _parser, main
 from emforge.corpus import CorpusSpec, DEFAULT_SNR_GRIDS, gold_prediction, read_manifest
 from emforge.metrics import TEXT_METRICS, ScoreReport
 
@@ -184,6 +187,9 @@ class TestBuild:
             ({"bench_fraction": "0.25"}, "bench_fraction"),
             ({"sample_rates": {"MR": "1e6"}}, "sample_rates"),
             ({"split_salt": 7}, "split_salt"),
+            # A rate keyed by an unknown task would be ignored and still written out.
+            ({"counts": {"MR": [0, 60]}, "snr_grids": {"MR": [0]}, "sample_rates": {"mr": 2e6}},
+             "sample_rates"),
         ],
     )
     def test_config_error_exit_2_before_writing(self, tmp_path, capsys, overrides, field):
@@ -569,7 +575,7 @@ class TestUnwritableOutput:
         assert captured.err.startswith("error: csv: ") and captured.out == ""
 
     @pytest.mark.parametrize("command", [
-        ["build", "--total", "1000"], ["render", "--kind", "BPSK"],
+        ["build", "--total", "1000"], ["render", "--sample-id", "mr-00000"],
     ], ids=["build", "render"])
     @pytest.mark.parametrize("under", ["", "sub/dir"], ids=["file", "under-file"])
     def test_out_naming_a_file_exit_2_before_writing(self, tmp_path, capsys, command, under):
@@ -583,6 +589,33 @@ class TestUnwritableOutput:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["F"]
         assert blocker.read_text() == "keep"
+
+
+def _readme_commands():
+    """The arguments after `emforge` of every command line in the README's sh blocks."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.DOTALL | re.MULTILINE):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"\w+=\S*", words[0]):  # environment assignments
+                words.pop(0)
+            for program in (["emforge"], ["python", "-m", "emforge"]):
+                if words[: len(program)] == program:
+                    commands.append(words[len(program):])
+    return commands
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_line_parses(self):
+        commands = _readme_commands()
+        assert {argv[0] for argv in commands} == {"build", "render", "score", "report", "budget"}
+        parser = _parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"the README's `emforge {shlex.join(argv)}` does not parse")
 
 
 # The exact stdout of `emforge budget`, pinned across commits.
@@ -625,27 +658,75 @@ class TestBudgetCommand:
         assert "stage" in capsys.readouterr().err
 
 
-class TestRenderCommand:
-    def test_renders_four_views(self, tmp_path):
-        out = tmp_path / "views"
-        assert main(["render", "--kind", "QAM16", "--snr", "10", "--out", str(out)]) == 0
-        files = sorted(p.name for p in out.iterdir())
-        assert files == [
-            "QAM16_constellation.png",
-            "QAM16_fft_spectrum.png",
-            "QAM16_iq_waveform.png",
-            "QAM16_stft_spectrogram.png",
-        ]
+# SMALL_CONFIG's SNR grids for a `--total` build: 60 records cover three bins per task.
+SMALL_GRIDS_CONFIG = {"snr_grids": SMALL_CONFIG["snr_grids"]}
 
+
+def _manifest_rows(corpus):
+    return {
+        row["sample_id"]: row
+        for name in ("manifest_train.jsonl", "manifest_bench.jsonl")
+        for row in map(json.loads, (corpus / name).read_text().splitlines())
+    }
+
+
+class TestRenderCommand:
+    @pytest.fixture(scope="class")
+    def small_corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("small")
+        config = root / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        assert main(["build", "--config", str(config), "--out", str(root / "corpus")]) == 0
+        return ["--config", str(config)], root / "corpus"
+
+    @staticmethod
+    def _assert_render_matches_build(capsys, spec_flags, corpus, sample_id, out):
+        # The four views are the corpus's bytes, and the printed line is its
+        # manifest line without `split`.
+        capsys.readouterr()
+        assert main(["render", *spec_flags, "--sample-id", sample_id, "--out", str(out)]) == 0
+        row = _manifest_rows(corpus)[sample_id]
+        del row["split"]
+        assert capsys.readouterr().out.splitlines() == [
+            *(os.path.join(out, rel) for rel in row["view_paths"]),
+            json.dumps(row, sort_keys=True, ensure_ascii=False),
+        ]
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == sorted(
+            ["images", *row["view_paths"]]
+        )
+        for rel in row["view_paths"]:
+            assert (out / rel).read_bytes() == (corpus / rel).read_bytes()
+
+    # One record of each task; EI's device draw depends on the task's total.
     @pytest.mark.parametrize(
-        "flags,field",
-        [(["--seed", "-1"], "seed"), (["--snr", "nan"], "snr"), (["--snr", "inf"], "snr")],
-        ids=["seed-negative", "snr-nan", "snr-inf"],
+        "sample_id", ["ssd-00005", "spe-00001", "mr-00003", "pr-00005", "ei-00004", "ajsd-00002"]
     )
-    def test_bad_input_exit_2_before_writing(self, tmp_path, capsys, flags, field):
+    def test_renders_the_corpus_record(self, tmp_path, capsys, small_corpus, sample_id):
+        spec_flags, corpus = small_corpus
+        self._assert_render_matches_build(capsys, spec_flags, corpus, sample_id, tmp_path / "v")
+
+    def test_renders_four_views(self, tmp_path, capsys):
+        # --total and a negative --seed define the corpus for render as for build.
+        config = tmp_path / "grids.json"
+        config.write_text(json.dumps(SMALL_GRIDS_CONFIG))
+        spec_flags = ["--config", str(config), "--total", "60", "--seed", "-3"]
+        corpus = tmp_path / "corpus"
+        assert main(["build", *spec_flags, "--out", str(corpus)]) == 0
+        self._assert_render_matches_build(capsys, spec_flags, corpus, "ei-00002", tmp_path / "v")
+
+    @pytest.mark.parametrize("sample_id", [
+        "mr-0003", "mr-000003", "mr_00003", "MR-00003", pytest.param("", id="empty"),
+        "xx-00000", "mr-00006", "pr-00000", "ssd-00000",
+    ])
+    def test_unknown_sample_id_exit_2_before_writing(self, tmp_path, capsys, sample_id):
+        # A malformed id, an unknown task, an index past the task's count, and
+        # tasks of count 0 and of no count name no record.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(SMALL_CONFIG, counts={"MR": [0, 6], "PR": [0, 0]})))
         out = tmp_path / "views"
-        assert main(["render", "--kind", "QPSK", *flags, "--out", str(out)]) == 2
-        assert f"error: {field}: " in capsys.readouterr().err
+        argv = ["render", "--config", str(config), "--sample-id", sample_id, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: sample-id: ")
         assert not out.exists()
 
     def test_missing_manifest_exit_2(self, tmp_path):

@@ -122,6 +122,13 @@ class TestDeskScaleCounts:
         with pytest.raises(ValueError):
             desk_scale_counts(59)
 
+    def test_smallest_total_that_covers_the_default_grids(self):
+        # The README's floor for --total at the default 2 dB grids.
+        with pytest.raises(ConfigError) as err:
+            CorpusSpec.from_total(330).validate()
+        assert err.value.field == "per_bin_min"
+        CorpusSpec.from_total(331).validate()
+
     def test_task_format_split(self):
         assert task_format_split("MR", 100) == (0, 100)
         assert task_format_split("AJSD", 100) == (100, 0)
@@ -389,6 +396,14 @@ class TestConfigValidation:
             build_corpus(CorpusSpec(counts={"MR": (0, 4)}, snr_grids={}), out, render=False)
         assert err.value.field == "snr_grids"
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["counts", "sample_rates"])
+    def test_unknown_task_key_rejected(self, field):
+        spec = CorpusSpec(counts={"MR": (0, 4)}, per_bin_min=0)
+        getattr(spec, field)["mr"] = (0, 4) if field == "counts" else 2e6
+        with pytest.raises(ConfigError, match="unknown task family 'mr'") as err:
+            spec.validate()
+        assert err.value.field == field
 
     def test_sample_rate_outside_window_only_matters_when_built(self):
         spec = CorpusSpec(counts={"MR": (0, 4)}, per_bin_min=0)

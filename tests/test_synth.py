@@ -40,8 +40,8 @@ def _bits(n, seed):
 
 
 class TestRrcTaps:
-    # Every samples-per-symbol the builders use, plus the 8 of `emforge render`.
-    @pytest.mark.parametrize("sps", sorted({MR_SPS, SSD_COMM_SPS, EI_SPS, 8}))
+    # Every samples-per-symbol the builders use.
+    @pytest.mark.parametrize("sps", sorted({MR_SPS, SSD_COMM_SPS, EI_SPS}))
     def test_cached_taps_equal_fresh_computation(self, sps):
         taps = rrc_taps(sps)
         assert rrc_taps(sps) is taps
