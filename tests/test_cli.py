@@ -658,10 +658,6 @@ class TestBudgetCommand:
         assert "stage" in capsys.readouterr().err
 
 
-# SMALL_CONFIG's SNR grids for a `--total` build: 60 records cover three bins per task.
-SMALL_GRIDS_CONFIG = {"snr_grids": SMALL_CONFIG["snr_grids"]}
-
-
 def _manifest_rows(corpus):
     return {
         row["sample_id"]: row
@@ -706,9 +702,10 @@ class TestRenderCommand:
         self._assert_render_matches_build(capsys, spec_flags, corpus, sample_id, tmp_path / "v")
 
     def test_renders_four_views(self, tmp_path, capsys):
-        # --total and a negative --seed define the corpus for render as for build.
+        # --total and a negative --seed define the corpus for render as for build;
+        # SMALL_CONFIG's three-bin grids let 60 records cover every bin.
         config = tmp_path / "grids.json"
-        config.write_text(json.dumps(SMALL_GRIDS_CONFIG))
+        config.write_text(json.dumps({"snr_grids": SMALL_CONFIG["snr_grids"]}))
         spec_flags = ["--config", str(config), "--total", "60", "--seed", "-3"]
         corpus = tmp_path / "corpus"
         assert main(["build", *spec_flags, "--out", str(corpus)]) == 0
