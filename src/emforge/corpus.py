@@ -15,7 +15,7 @@ import math
 import os
 import re
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
@@ -116,8 +116,10 @@ _WRAPPED_ANSWERS = {
 }
 
 # Each build process runs one PNG encoder thread, with one view queued
-# behind the view it compresses: more threads or a deeper queue bought no
-# wall time and cost memory. Pool workers take jobs in chunks.
+# behind the view it compresses; when both places are taken the record
+# thread deflates its next view itself instead of waiting. More threads or
+# a deeper queue bought no wall time and cost memory. Pool workers take
+# jobs in chunks.
 _ENCODER_THREADS = 1
 _QUEUED_VIEWS = 1
 _POOL_CHUNK = 8
@@ -506,22 +508,28 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
     A rendered build is a two-stage pipeline. This thread drafts each
     record, renders its views and lays out their PNG scanlines; one
     encoder thread compresses view k while view k+1 renders, with at
-    most one view queued behind it. A record's PNG bytes are hashed and
-    written on this thread, in VIEW_ORDER, once the next record's views
-    are submitted, so no output byte depends on the encoder. Plan mode
-    renders nothing and starts no thread. Any failure re-raises as a
-    RecordError naming its record, and the encoder thread is joined on
-    every exit.
+    most one view queued behind it. The loop is work-conserving: when
+    the encoder has one view running and one queued, this thread
+    deflates its ready view itself rather than wait. Every view is
+    deflated on its own by the same function, whichever thread runs it,
+    and its bytes keep their slot in VIEW_ORDER. A record's PNG bytes
+    are hashed and written on this thread, in VIEW_ORDER, once the next
+    record's views are rendered, so no output byte depends on the
+    encoder. Plan mode renders nothing and starts no thread. Any failure
+    re-raises as a RecordError naming its record, and the encoder
+    thread is joined on every exit.
     """
     records = []
     # The latest submitted views: the encoder runs them in FIFO order, so
     # once the oldest is done at most _QUEUED_VIEWS are still queued.
     submitted = deque(maxlen=_QUEUED_VIEWS + 1)
-    previous = None  # (record args, futures) rendered but not yet hashed and written
+    previous = None  # (record args, pngs) rendered but not yet hashed and written
 
-    def finish(args, futures) -> None:
+    def finish(args, pngs) -> None:
+        # pngs holds, per view, its bytes if deflated here, else its Future.
         with _naming(args[0]):
-            pngs = None if futures is None else [f.result() for f in futures]
+            if pngs is not None:
+                pngs = [p if isinstance(p, bytes) else p.result() for p in pngs]
             records.append(_build_one(*args, spec, out_dir, pngs))
 
     encoder = (
@@ -538,19 +546,21 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
                 if encoder is None:
                     finish(args, None)
                     continue
-                futures = []
+                pngs = []
                 params = _render_params(spec, draft.constellation_stride)
                 for kind in VIEW_ORDER:
                     rows = png.scanlines(render_view(draft.signal, kind, params))
-                    if len(submitted) == submitted.maxlen:
-                        wait([submitted[0]])
-                    futures.append(encoder.submit(png.deflate_scanlines, rows))
-                    submitted.append(futures[-1])
-            # The previous record's views were submitted before this record's,
-            # so in FIFO order they are done by now.
+                    # One view running and one queued: deflate here rather than wait.
+                    if len(submitted) == submitted.maxlen and not submitted[0].done():
+                        pngs.append(png.deflate_scanlines(rows))
+                    else:
+                        pngs.append(encoder.submit(png.deflate_scanlines, rows))
+                        submitted.append(pngs[-1])
+            # The previous record's views went to the encoder before this
+            # record's; finish waits for any it has not compressed yet.
             if previous is not None:
                 finish(*previous)
-            previous = args, futures
+            previous = args, pngs
         if previous is not None:
             finish(*previous)
     finally:

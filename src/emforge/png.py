@@ -5,9 +5,12 @@ zlib level 6, so the same input pixels always produce the same bytes.
 Encoding is two steps: `scanlines` lays the pixels out as filter-0 rows
 (numpy work that holds the GIL), and `deflate_scanlines` compresses
 those rows and assembles the chunks. zlib releases the GIL while it
-compresses, so the second step can run on another thread; deflate
-output depends only on the input bytes and the level, so which thread
-runs it cannot change a byte. `encode_png` is the two steps in a row.
+compresses, so the second step can run on another thread, and a build
+runs it on whichever thread is free: its encoder thread, or the thread
+that rendered the view when the encoder is busy. Each call compresses
+one view alone, and deflate output depends only on the input bytes and
+the level, so which thread runs it cannot change a byte. `encode_png` is
+the two steps in a row.
 The decoder reads only what the encoder writes: 8-bit RGB, non-interlaced,
 filter 0 on every row; any other filter byte is a ValueError.
 """

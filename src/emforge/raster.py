@@ -25,9 +25,17 @@ def paint(labels: np.ndarray, palette) -> np.ndarray:
 
 
 def column_runs(height: int, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """(height, len(top)) mask: column x is set on rows top[x]..bottom[x] inclusive."""
-    rows = np.arange(height)[:, None]
-    return (rows >= top) & (rows <= bottom)
+    """(height, len(top)) mask: column x is set on rows top[x]..bottom[x] inclusive.
+
+    `top` and `bottom` are integer arrays. Clipping them to [0, height] and
+    [-1, height - 1] sets the same rows, and lets the comparisons run in
+    int16, the narrowest type that holds those bounds, whenever height fits.
+    """
+    dtype = np.int16 if height <= np.iinfo(np.int16).max else np.int64
+    rows = np.arange(height, dtype=dtype)[:, None]
+    mask = rows >= np.clip(top, 0, height).astype(dtype)
+    mask &= rows <= np.clip(bottom, -1, height - 1).astype(dtype)
+    return mask
 
 
 def polyline_runs(ys) -> tuple[np.ndarray, np.ndarray]:

@@ -142,7 +142,9 @@ def _render_waveform(signal: IqSignal, p: RenderParams) -> np.ndarray:
     if lim == 0:
         lim = 1.0
     labels = np.zeros((p.size, p.size), dtype=np.uint8)
-    # Later traces overwrite earlier ones: I, then Q, then the envelope.
+    # Later traces cover earlier ones: I, then Q, then the envelope. Their
+    # labels rise in that order, so a pixel's label is the largest of the
+    # traces that cover it.
     for label, values in enumerate((signal.samples.real, signal.samples.imag, env), start=1):
         lo, hi = bucket_minmax(values, p.size)
         y_lo = (p.size - 1) - _to_px(lo, -lim, lim, p.size)
@@ -150,7 +152,8 @@ def _render_waveform(signal: IqSignal, p: RenderParams) -> np.ndarray:
         # Each column's min-max fill and the midline polyline both contain
         # the midline row, so their union is one run of rows per column.
         top, bottom = polyline_runs((y_lo + y_hi) // 2)
-        labels[column_runs(p.size, np.minimum(top, y_hi), np.maximum(bottom, y_lo))] = label
+        run = column_runs(p.size, np.minimum(top, y_hi), np.maximum(bottom, y_lo))
+        np.maximum(labels, run.view(np.uint8) * np.uint8(label), out=labels)
     return paint(labels, (WHITE, WAVEFORM_I_COLOR, WAVEFORM_Q_COLOR, ENVELOPE_COLOR))
 
 

@@ -1,5 +1,7 @@
 """Suite-wide guards."""
 
+import getpass
+import os
 import tempfile
 import threading
 
@@ -8,20 +10,28 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from emforge.corpus import ENCODER_THREAD_PREFIX
 
-# Hypothesis writes a cache under ./.hypothesis even with database=None, and
-# does so while collecting: point it at a temporary directory for the session.
-_hypothesis_home = None
+
+def _hypothesis_home() -> str:
+    """One Hypothesis home per user under the system temp directory.
+
+    Hypothesis writes caches under ./.hypothesis even with database=None,
+    and does so while collecting, so the suite points it outside the
+    checkout. The directory outlives the session: a fresh one each run
+    would rebuild the UTF-8 charmap behind `st.text()`'s default alphabet,
+    seconds of work, every time.
+    """
+    user = os.getuid() if hasattr(os, "getuid") else getpass.getuser()
+    home = os.path.join(tempfile.gettempdir(), f"emforge-hypothesis-{user}")
+    os.makedirs(home, mode=0o700, exist_ok=True)
+    return home
 
 
 def pytest_configure(config):
-    global _hypothesis_home
-    _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
-    set_hypothesis_home_dir(_hypothesis_home.name)
+    set_hypothesis_home_dir(_hypothesis_home())
 
 
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
-    _hypothesis_home.cleanup()
 
 
 @pytest.fixture(autouse=True)

@@ -365,6 +365,45 @@ class TestRecordErrors:
         assert not self._encoder_threads()
 
 
+def _tree(root: Path) -> dict:
+    """Relative path -> bytes of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestInlineDeflate:
+    """The record thread deflates a view itself when the encoder is busy, moving no byte."""
+
+    SPEC = {"counts": {"MR": [1, 3]}, "per_bin_min": 0}
+    TIMEOUT_S = 10
+
+    def test_inline_views_write_the_same_tree(self, tmp_path, monkeypatch):
+        spec = CorpusSpec.from_dict(self.SPEC)
+        want = build_corpus(spec, out_dir=str(tmp_path / "want"))
+        deflate = png.deflate_scanlines
+        inline_done = threading.Event()
+        inline_calls = []
+
+        def gated(rows):
+            if threading.current_thread().name.startswith(ENCODER_THREAD_PREFIX):
+                # The encoder stalls until the record thread has deflated a view
+                # itself; a loop that waits on the encoder instead fails here,
+                # once: the event is set so later views do not stall too.
+                if not inline_done.wait(self.TIMEOUT_S):
+                    inline_done.set()
+                    raise RuntimeError("record thread never deflated a view itself")
+                return deflate(rows)
+            data = deflate(rows)
+            inline_calls.append(len(data))
+            inline_done.set()
+            return data
+
+        monkeypatch.setattr(png, "deflate_scanlines", gated)
+        got = build_corpus(spec, out_dir=str(tmp_path / "got"))
+        assert inline_calls
+        assert got == want
+        assert _tree(tmp_path / "got") == _tree(tmp_path / "want")
+
+
 class TestConfigValidation:
     def test_snr_grid_outside_paper_range(self):
         spec = _small_spec()

@@ -6,10 +6,14 @@ loops the renderer used to run; every comparison is exact.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from emforge import views
 from emforge.raster import WHITE, bucket_minmax, column_runs, dot_mask, paint, polyline_runs
 from emforge.signal import IqSignal
-from emforge.views import StftParams, _hann, stft
+from emforge.views import RenderParams, StftParams, ViewKind, _hann, render_view, stft
 
 COLOR = (16, 16, 192)
 
@@ -77,6 +81,29 @@ def oracle_stft(samples, params):
         frame = samples[k * params.hop : k * params.hop + params.window_len]
         out[:, k] = np.abs(np.fft.fftshift(np.fft.fft(frame * window)))
     return out
+
+
+def oracle_column_runs(height, top, bottom):
+    """The mask in int64, as column_runs first computed it."""
+    rows = np.arange(height)[:, None]
+    return (rows >= top) & (rows <= bottom)
+
+
+def oracle_render_waveform(signal, p):
+    """The waveform view as it was first drawn: each trace overwrites the mask it covers."""
+    env = np.abs(signal.samples)
+    lim = 1.05 * env.max()
+    if lim == 0:
+        lim = 1.0
+    labels = np.zeros((p.size, p.size), dtype=np.uint8)
+    for label, values in enumerate((signal.samples.real, signal.samples.imag, env), start=1):
+        lo, hi = bucket_minmax(values, p.size)
+        y_lo = (p.size - 1) - views._to_px(lo, -lim, lim, p.size)
+        y_hi = (p.size - 1) - views._to_px(hi, -lim, lim, p.size)
+        top, bottom = polyline_runs((y_lo + y_hi) // 2)
+        labels[oracle_column_runs(p.size, np.minimum(top, y_hi), np.maximum(bottom, y_lo))] = label
+    palette = (WHITE, views.WAVEFORM_I_COLOR, views.WAVEFORM_Q_COLOR, views.ENVELOPE_COLOR)
+    return paint(labels, palette)
 
 
 def _polyline_cases():
@@ -157,3 +184,41 @@ def test_stft_matches_per_frame_loop(window_len, hop):
     want = oracle_stft(samples, params)
     assert got.shape == want.shape
     assert np.all(got == want)
+
+
+@pytest.mark.parametrize("height", [1, 16, 384, 32767, 32768, 40000])
+def test_column_runs_matches_int64_masks(height):
+    """Narrow comparisons set the same rows at every height, off-canvas bounds included."""
+    h = height
+    rng = np.random.default_rng(height)
+    cases = [
+        ([0, h - 1, h // 2], [h - 1, h - 1, h // 2]),  # full column, last row, one row
+        ([-3, h, -40000], [h + 3, h + 10, -1]),  # bounds past both edges
+        ([h - 1, 5, 70000], [0, 2, 80000]),  # empty runs: top below bottom, all below
+        ([-(2**40), 0], [2**40, h - 2]),  # bounds far outside int16 and int32
+        tuple(rng.integers(-5, h + 5, (2, 3))),
+    ]
+    for top, bottom in cases:
+        top, bottom = np.asarray(top, dtype=np.int64), np.asarray(bottom, dtype=np.int64)
+        got = column_runs(h, top, bottom)
+        assert got.dtype == bool
+        assert np.array_equal(got, oracle_column_runs(h, top, bottom)), (top, bottom)
+
+
+_components = arrays(
+    np.float64,
+    st.integers(1, 300),
+    elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.data(), st.integers(16, 48))
+def test_waveform_composition_matches_per_trace_overwrite(data, size):
+    """Taking the largest label equals painting I, Q and the envelope over each other in turn."""
+    real = data.draw(_components)
+    imag = data.draw(arrays(np.float64, real.shape, elements=st.floats(-1e3, 1e3)))
+    signal = IqSignal(real + 1j * imag, 1e6)
+    p = RenderParams(size=size)
+    got = render_view(signal, ViewKind.IQ_WAVEFORM, p)
+    assert np.array_equal(got, oracle_render_waveform(signal, p))
