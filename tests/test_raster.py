@@ -205,19 +205,15 @@ def test_column_runs_matches_int64_masks(height):
         assert np.array_equal(got, oracle_column_runs(h, top, bottom)), (top, bottom)
 
 
-_components = arrays(
-    np.float64,
-    st.integers(1, 300),
-    elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
-)
+_COMPONENT = st.floats(-1e3, 1e3, allow_subnormal=False)
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(st.data(), st.integers(16, 48))
 def test_waveform_composition_matches_per_trace_overwrite(data, size):
     """Taking the largest label equals painting I, Q and the envelope over each other in turn."""
-    real = data.draw(_components)
-    imag = data.draw(arrays(np.float64, real.shape, elements=st.floats(-1e3, 1e3)))
+    real = data.draw(arrays(np.float64, st.integers(1, 300), elements=_COMPONENT))
+    imag = data.draw(arrays(np.float64, real.shape, elements=_COMPONENT))
     signal = IqSignal(real + 1j * imag, 1e6)
     p = RenderParams(size=size)
     got = render_view(signal, ViewKind.IQ_WAVEFORM, p)
