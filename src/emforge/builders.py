@@ -8,7 +8,6 @@ without changing a single output byte.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -96,6 +95,8 @@ _EI_FAMILIES = ("x310", "b210", "n210")
 
 def derive_seed(global_seed: int, token: str) -> int:
     """Stable per-sample seed: hash of the global seed and a string token."""
+    import hashlib  # here, so commands that hash nothing never load OpenSSL
+
     digest = hashlib.sha256(f"{global_seed}:{token}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

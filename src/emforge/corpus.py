@@ -9,7 +9,6 @@ promotes the lowest train sample_ids of any under-filled bin.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -313,6 +312,11 @@ class ManifestRecord:
     Slotted, so a record holds no per-instance dict. Records from one
     `read_manifest` call share their equal strings and `options` tuples;
     no record shares a dict or list with another.
+
+    `view_paths` is derived: a record whose paths are the canonical
+    `images/<sample_id>_<view>.png` of each view stores none and builds
+    them from `sample_id` on each read, so they follow a later change of
+    `sample_id`. Any other paths are stored as given.
     """
 
     sample_id: str
@@ -337,11 +341,13 @@ class ManifestRecord:
             isinstance(snr, (int, float)) and not isinstance(snr, bool) and math.isfinite(snr)
         ):
             raise ValueError("snr_db must be a finite number or null")
-        if not _is_str_list(self.view_paths) or len(self.view_paths) != 4:
-            raise ValueError("view_paths must list exactly 4 view paths")
+        paths = _STORED_VIEW_PATHS.__get__(self)
+        if paths is not _CANONICAL:
+            if not _is_str_list(paths) or len(paths) != 4:
+                raise ValueError("view_paths must list exactly 4 view paths")
+            _STORED_VIEW_PATHS.__set__(self, tuple(paths))
         if self.options is not None and not _is_str_list(self.options):
             raise ValueError("options must be null or a list of strings")
-        self.view_paths = tuple(self.view_paths)
         if self.options is not None:
             self.options = tuple(self.options)
         if self.task not in TASK_TAGS:
@@ -376,13 +382,56 @@ class ManifestRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ManifestRecord":
-        missing = [k for k in MANIFEST_FIELDS if k not in data]
-        if missing:
-            raise ValueError(f"missing fields: {', '.join(missing)}")
+        if not (type(data) is dict and data.keys() >= _MANIFEST_FIELD_SET):
+            missing = [k for k in MANIFEST_FIELDS if k not in data]
+            if missing:
+                raise ValueError(f"missing fields: {', '.join(missing)}")
         return cls(*map(data.__getitem__, MANIFEST_FIELDS))
 
 
 MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestRecord))
+_MANIFEST_FIELD_SET = frozenset(MANIFEST_FIELDS)
+
+# What follows "images/<sample_id>" in each view's path, in VIEW_ORDER.
+_VIEW_SUFFIXES = tuple(f"_{kind.value}.png" for kind in VIEW_ORDER)
+
+
+def _view_paths(sample_id: str) -> tuple:
+    """The canonical relative path of each view of `sample_id`, in VIEW_ORDER."""
+    prefix = "images/" + sample_id
+    return tuple([prefix + suffix for suffix in _VIEW_SUFFIXES])
+
+
+# The view_paths slot holds _CANONICAL for canonical paths. The property
+# below replaces the slot's descriptor on the class and reads and writes the
+# slot through it, so the constructor, ==, to_dict and pickling all see paths.
+_STORED_VIEW_PATHS = ManifestRecord.view_paths
+_CANONICAL = object()
+
+
+def _get_view_paths(record: ManifestRecord) -> tuple:
+    paths = _STORED_VIEW_PATHS.__get__(record)
+    return _view_paths(record.sample_id) if paths is _CANONICAL else paths
+
+
+def _set_view_paths(record: ManifestRecord, paths) -> None:
+    # Canonical paths, as a list read from JSON or a tuple, are not stored.
+    # Anything else is stored as given, for __post_init__ to check.
+    sample_id = record.sample_id
+    if isinstance(sample_id, str) and type(paths) in (list, tuple) and len(paths) == 4:
+        prefix = "images/" + sample_id
+        first, second, third, fourth = _VIEW_SUFFIXES
+        if (
+            paths[0] == prefix + first
+            and paths[1] == prefix + second
+            and paths[2] == prefix + third
+            and paths[3] == prefix + fourth
+        ):
+            paths = _CANONICAL
+    _STORED_VIEW_PATHS.__set__(record, paths)
+
+
+ManifestRecord.view_paths = property(_get_view_paths, _set_view_paths)
 
 
 def _is_str_list(value) -> bool:
@@ -391,6 +440,8 @@ def _is_str_list(value) -> bool:
 
 def assign_split(sample_id: str, salt: str, bench_fraction: float) -> str:
     """Deterministic hash split, stable under corpus regeneration."""
+    import hashlib  # here, so commands that hash nothing never load OpenSSL
+
     digest = hashlib.sha256(f"{salt}\x1f{sample_id}".encode()).digest()
     u = int.from_bytes(digest[:8], "big") / 2**64
     return "bench" if u < bench_fraction else "train"
@@ -440,10 +491,6 @@ def _render_params(spec: CorpusSpec, stride: int) -> RenderParams:
     )
 
 
-def _view_paths(sample_id: str) -> tuple:
-    return tuple(f"images/{sample_id}_{kind.value}.png" for kind in VIEW_ORDER)
-
-
 class RecordError(RuntimeError):
     """A record failed to build; the message starts with its sample_id."""
 
@@ -473,6 +520,8 @@ def _build_one(sample_id: str, task: str, fmt: str, draft, spec: CorpusSpec, out
     `pngs` holds the four PNG byte strings in VIEW_ORDER, or None in plan
     mode, which hashes the raw IQ content the views derive from instead.
     """
+    import hashlib  # here, so commands that hash nothing never load OpenSSL
+
     paths = _view_paths(sample_id)
     hasher = hashlib.sha256()
     if pngs is None:
@@ -678,8 +727,9 @@ def read_jsonl(path, kind: str, parse) -> dict:
     return rows
 
 
-# The string fields whose values repeat across a manifest. sample_id, view_paths
-# and content_hash are unique per record, so sharing them would only grow the table.
+# The string fields whose values repeat across a manifest. sample_id and
+# content_hash are unique per record, so sharing them would only grow the
+# table; canonical view_paths are not stored at all (see ManifestRecord).
 _SHARED_STRINGS = ("task", "format", "tag", "split", "question", "answer")
 
 
@@ -693,6 +743,8 @@ def read_manifest(path) -> list[ManifestRecord]:
     numbers (True == 1 == 1.0 would alias values of different types) and
     never a container: each record gets its own `ground_truth` dicts and
     lists, in the file's key order. The sharing table lives for this call only.
+    A record keeps its `view_paths` only where they differ from the
+    canonical `images/<sample_id>_<view>.png`.
     """
     table = {}
     setdefault = table.setdefault

@@ -258,6 +258,17 @@ class TestBuild:
 
 
 class TestScore:
+    def test_importing_the_cli_loads_no_openssl(self):
+        # Only building hashes, so score and report never load hashlib (OpenSSL).
+        src = os.path.dirname(os.path.dirname(emforge.__file__))
+        code = "import sys, emforge.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=False,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     @pytest.fixture
     def built(self, tmp_path, config_path):
         out = tmp_path / "corpus"

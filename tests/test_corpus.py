@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -680,6 +681,109 @@ class TestSharedManifestRecords:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+
+def _stored_paths(record):
+    """What a record's view_paths slot holds: None for the canonical paths."""
+    paths = corpus._STORED_VIEW_PATHS.__get__(record)
+    return None if paths is corpus._CANONICAL else paths
+
+
+class TestDerivedViewPaths:
+    """A record stores view_paths only where they differ from images/<sample_id>_<view>.png."""
+
+    @pytest.fixture(scope="class")
+    def manifests(self, tmp_path_factory):
+        """(canonical, custom): one plan build's manifest, and the same with other paths."""
+        train, bench = build_corpus(_small_spec(), render=False)
+        directory = tmp_path_factory.mktemp("paths")
+        canonical, custom = directory / "canonical.jsonl", directory / "custom.jsonl"
+        write_manifest(train + bench, canonical)
+        # Same lengths, so only where the paths live differs between the two reads.
+        custom.write_text(canonical.read_text().replace('"images/', '"IMAGES/'))
+        return canonical, custom
+
+    def test_canonical_paths_follow_the_sample_id(self):
+        assert corpus._view_paths("mr-00042") == tuple(
+            f"images/mr-00042_{kind.value}.png" for kind in ViewKind
+        )
+
+    def test_write_of_read_reproduces_either_manifest(self, manifests, tmp_path):
+        for path in manifests:
+            again = tmp_path / "again.jsonl"
+            write_manifest(read_manifest(path), again)
+            assert again.read_bytes() == path.read_bytes(), path.name
+
+    def test_only_non_canonical_paths_are_stored(self, manifests):
+        canonical, custom = map(read_manifest, manifests)
+        assert all(_stored_paths(r) is None for r in canonical)
+        assert all(_stored_paths(r) == r.view_paths for r in custom)
+        assert all(r.view_paths[0].startswith("IMAGES/") for r in custom)
+        assert [r.view_paths for r in canonical] == [
+            corpus._view_paths(r.sample_id) for r in canonical
+        ]
+
+    def test_canonical_records_retain_no_path_strings(self, manifests):
+        def retained_per_record(path):
+            read_manifest(path)  # warm any import-time caches
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                records = read_manifest(path)
+                return (tracemalloc.get_traced_memory()[0] - before) / len(records)
+            finally:
+                tracemalloc.stop()
+
+        canonical, custom = map(retained_per_record, manifests)
+        assert custom - canonical >= 300, (canonical, custom)
+
+    def test_assigning_view_paths_updates_to_dict(self, manifests):
+        record = read_manifest(manifests[0])[0]
+        other = ("w.png", "x.png", "y.png", "z.png")
+        record.view_paths = other
+        assert record.to_dict()["view_paths"] == other
+        record.view_paths = list(corpus._view_paths(record.sample_id))
+        assert _stored_paths(record) is None
+        assert record.to_dict()["view_paths"] == corpus._view_paths(record.sample_id)
+
+    def test_canonical_and_stored_paths_compare_equal(self, manifests):
+        record = read_manifest(manifests[0])[0]
+        args = [getattr(record, name) for name in corpus.MANIFEST_FIELDS]
+        assert ManifestRecord(*args) == record
+        custom = read_manifest(manifests[1])[0]
+        assert custom != record
+        custom.view_paths = record.view_paths
+        assert custom == record
+
+    def test_pickling_keeps_records_equal_and_paths_derived(self, manifests):
+        for path in manifests:
+            records = read_manifest(path)
+            back = pickle.loads(pickle.dumps(records))
+            assert back == records
+            assert [_stored_paths(r) for r in back] == [_stored_paths(r) for r in records]
+
+    def test_pool_workers_return_records_without_stored_paths(self):
+        # TestSharedManifestRecords checks that these records are == to a 1-worker build's.
+        train, bench = build_corpus(_small_spec(), render=False, workers=2)
+        assert all(_stored_paths(r) is None for r in train + bench)
+
+    @pytest.mark.parametrize(
+        "paths",
+        ["abcd", ["a", "b", "c", 4], ["a", "b", "c"], None, {"a": 1, "b": 2, "c": 3, "d": 4}],
+    )
+    def test_malformed_paths_name_path_and_line(self, manifests, tmp_path, paths):
+        lines = manifests[0].read_text().splitlines(keepends=True)
+        bad_row = {**json.loads(lines[2]), "view_paths": paths}
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(lines[0] + lines[1] + json.dumps(bad_row) + "\n")
+        message = r"malformed manifest line \(view_paths must list exactly 4 view paths\)"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {message}"):
+            read_manifest(path)
+
+    def test_a_non_string_sample_id_is_reported_as_such(self, manifests):
+        row = json.loads(manifests[0].read_text().splitlines()[0])
+        with pytest.raises(ValueError, match="^sample_id must be a string$"):
+            ManifestRecord.from_dict({**row, "sample_id": 7})
 
 
 class TestSchemas:

@@ -61,3 +61,32 @@ def test_spe_pulse_train_matches_its_labels(rate):
         }
         for name, value in measured.items():
             assert abs(value - pulses[name]) <= builders.SPE_TOLERANCE_US, (index, name, value)
+
+
+def test_ssd_segment_class_matches_the_signal():
+    # At 20 dB, with a threshold at half the median of the top decile of
+    # |x|: noise never stays above it for a whole pulse (its longest run is
+    # shorter than the shortest pulse, 2 us), a radar train is above it less
+    # than half the time, and a communication burst at least half the time.
+    rate = 20e6
+    spec = CorpusSpec()
+    spec.sample_rates["SSD"] = rate
+    spec.snr_grids["SSD"] = (20.0,)
+    shortest_pulse = round(2e-6 * rate)
+    labels = []
+    for index in range(90):
+        draft = builders.draft_record("SSD", index, "OpenQA", spec)
+        magnitude = np.abs(draft.signal.samples)
+        top_decile = np.sort(magnitude)[-(len(magnitude) // 10):]
+        above = magnitude > np.median(top_decile) / 2
+        edges = np.diff(np.concatenate(([0], above, [0])).astype(np.int8))
+        runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+        if runs.max(initial=0) < shortest_pulse:
+            measured = "noise"
+        elif above.mean() < 0.5:
+            measured = "radar"
+        else:
+            measured = "communication"
+        labels.append(draft.ground_truth["segment_class"])
+        assert measured == labels[-1], (index, labels[-1], runs.max(initial=0), above.mean())
+    assert sorted(set(labels)) == sorted(builders.SSD_CLASSES)
