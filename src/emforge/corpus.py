@@ -9,6 +9,7 @@ promotes the lowest train sample_ids of any under-filled bin.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -26,10 +27,19 @@ from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER
 
 # perfbench's tracer patches builders.draft_record and, here, _build_one, render_view,
 # encode_png, assign_split, stratified_bench and write_manifest by name: keep them.
+# The build itself calls neither render_view nor encode_png (it writes PNG rows
+# straight from render_labels), so both are imported only for the tracer.
 from .png import encode_png  # noqa: F401
 from .synth import PROTOCOL_CLASSES, default_burst_spec
 from .synth.jamming import SWEEP_SPAN_FRACTION
-from .views import DEFAULT_IMAGE_SIZE, RenderParams, StftParams, VIEW_ORDER, render_view
+from .views import (  # noqa: F401
+    DEFAULT_IMAGE_SIZE,
+    RenderParams,
+    StftParams,
+    VIEW_ORDER,
+    render_labels,
+    render_view,
+)
 
 
 # Per-task (OpenQA, MCQA) bench counts; the cell order fixes largest-
@@ -555,7 +565,8 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
     """The record loop of every build: one ManifestRecord per job, in job order.
 
     A rendered build is a two-stage pipeline. This thread drafts each
-    record, renders its views and lays out their PNG scanlines; one
+    record, renders each view's labels and writes its PNG scanlines
+    straight from them (no view is painted); one
     encoder thread compresses view k while view k+1 renders, with at
     most one view queued behind it. The loop is work-conserving: when
     the encoder has one view running and one queued, this thread
@@ -598,7 +609,7 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
                 pngs = []
                 params = _render_params(spec, draft.constellation_stride)
                 for kind in VIEW_ORDER:
-                    rows = png.scanlines(render_view(draft.signal, kind, params))
+                    rows = png.label_scanlines(*render_labels(draft.signal, kind, params))
                     # One view running and one queued: deflate here rather than wait.
                     if len(submitted) == submitted.maxlen and not submitted[0].done():
                         pngs.append(png.deflate_scanlines(rows))
@@ -745,6 +756,11 @@ def read_manifest(path) -> list[ManifestRecord]:
     lists, in the file's key order. The sharing table lives for this call only.
     A record keeps its `view_paths` only where they differ from the
     canonical `images/<sample_id>_<view>.png`.
+
+    The cyclic garbage collector is off for the call and back in its
+    previous state on return or raise: nothing the read builds forms a
+    cycle, and everything it builds stays alive, so each collection would
+    only walk the records built so far again.
     """
     table = {}
     setdefault = table.setdefault
@@ -777,4 +793,10 @@ def read_manifest(path) -> list[ManifestRecord]:
         record.ground_truth = share(record.ground_truth)
         return record.sample_id, record
 
-    return list(read_jsonl(path, "manifest", row).values())
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(read_jsonl(path, "manifest", row).values())
+    finally:
+        if was_enabled:
+            gc.enable()

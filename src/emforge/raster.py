@@ -1,8 +1,10 @@
 """Integer raster primitives for deterministic, text-free plots.
 
 Every primitive is array code; none loops over pixels, dots or buckets.
-Views build a label per pixel from masks and `paint` maps labels to
-colors in one gather.
+Views build a label per pixel from masks. `paint` maps labels to colors
+in one gather, for `views.render_view`'s RGB arrays only: a build writes
+PNG rows straight from the labels with `png.label_scanlines` and never
+calls it.
 
 Polylines step one column per segment: `polyline_runs` joins (x, ys[x])
 to (x + 1, ys[x + 1]) with the pixels Bresenham's algorithm paints. With

@@ -3,8 +3,14 @@
 Every render is a pure function of (signal, parameters): fixed axis
 rules, fixed colors, no text, no randomness. Constellation axes span
 +/-1.5 * max|x|, spectrum/spectrogram cover the full band DC-centered,
-the waveform view spans the full time axis. A view is a plain
-(size, size, 3) uint8 array, ready for `png.encode_png`.
+the waveform view spans the full time axis.
+
+A view is a (size, size) label image and a fixed palette: 2 colors for
+the constellation and the spectrum (bool labels), 4 for the waveform
+and 256 for the spectrogram (uint8 labels). `render_labels` returns the
+pair. A build writes PNG scanlines straight from it with
+`png.label_scanlines` and never paints; `render_view` paints the pair
+into a (size, size, 3) uint8 RGB array, the package's public view API.
 """
 
 from __future__ import annotations
@@ -34,6 +40,23 @@ SPECTRUM_COLOR = (144, 16, 16)
 WAVEFORM_I_COLOR = (16, 16, 192)
 WAVEFORM_Q_COLOR = (192, 16, 16)
 ENVELOPE_COLOR = (0, 0, 0)
+
+
+def _palette(colors) -> np.ndarray:
+    table = np.array(colors, dtype=np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+# Each view's palette, indexed by its labels.
+_CONSTELLATION_PALETTE = _palette((WHITE, CONSTELLATION_COLOR))
+_SPECTRUM_PALETTE = _palette((WHITE, SPECTRUM_COLOR))
+_SPECTROGRAM_PALETTE = _palette(spectrogram_colormap())
+_WAVEFORM_PALETTE = _palette((WHITE, WAVEFORM_I_COLOR, WAVEFORM_Q_COLOR, ENVELOPE_COLOR))
+
+# A rendered view: its (size, size) label image and the (n, 3) uint8 palette
+# that colors it.
+Rendered = tuple[np.ndarray, np.ndarray]
 
 
 class ViewKind(str, Enum):
@@ -111,7 +134,7 @@ def _to_px(value: np.ndarray, lo: float, hi: float, size: int) -> np.ndarray:
     return np.clip(np.round(scaled * (size - 1)), 0, size - 1).astype(int)
 
 
-def _render_constellation(signal: IqSignal, p: RenderParams) -> np.ndarray:
+def _render_constellation(signal: IqSignal, p: RenderParams) -> Rendered:
     stride = p.constellation_stride or 4
     pts = signal.samples[::stride]
     lim = 1.5 * np.max(np.abs(signal.samples))
@@ -119,24 +142,24 @@ def _render_constellation(signal: IqSignal, p: RenderParams) -> np.ndarray:
         lim = 1.0
     xs = _to_px(pts.real, -lim, lim, p.size)
     ys = (p.size - 1) - _to_px(pts.imag, -lim, lim, p.size)
-    return paint(dot_mask(p.size, p.size, xs, ys, radius=2), (WHITE, CONSTELLATION_COLOR))
+    return dot_mask(p.size, p.size, xs, ys, radius=2), _CONSTELLATION_PALETTE
 
 
-def _render_spectrum(signal: IqSignal, p: RenderParams) -> np.ndarray:
+def _render_spectrum(signal: IqSignal, p: RenderParams) -> Rendered:
     level = normalized_db(fft_magnitude(signal))
     _, peak = bucket_minmax(level, p.size)  # peak-preserving column reduction
     ys = (p.size - 1) - _to_px(peak, 0.0, 1.0, p.size)
-    return paint(column_runs(p.size, *polyline_runs(ys)), (WHITE, SPECTRUM_COLOR))
+    return column_runs(p.size, *polyline_runs(ys)), _SPECTRUM_PALETTE
 
 
-def _render_spectrogram(signal: IqSignal, p: RenderParams) -> np.ndarray:
+def _render_spectrogram(signal: IqSignal, p: RenderParams) -> Rendered:
     level = normalized_db(stft(signal, p.stft))
     index = np.clip(np.round(level * 255), 0, 255).astype(np.uint8)
     # Row 0 = highest frequency at the top of the image.
-    return paint(nn_resize(index[::-1], p.size, p.size), spectrogram_colormap())
+    return nn_resize(index[::-1], p.size, p.size), _SPECTROGRAM_PALETTE
 
 
-def _render_waveform(signal: IqSignal, p: RenderParams) -> np.ndarray:
+def _render_waveform(signal: IqSignal, p: RenderParams) -> Rendered:
     env = np.abs(signal.samples)
     lim = 1.05 * env.max()
     if lim == 0:
@@ -154,7 +177,7 @@ def _render_waveform(signal: IqSignal, p: RenderParams) -> np.ndarray:
         top, bottom = polyline_runs((y_lo + y_hi) // 2)
         run = column_runs(p.size, np.minimum(top, y_hi), np.maximum(bottom, y_lo))
         np.maximum(labels, run.view(np.uint8) * np.uint8(label), out=labels)
-    return paint(labels, (WHITE, WAVEFORM_I_COLOR, WAVEFORM_Q_COLOR, ENVELOPE_COLOR))
+    return labels, _WAVEFORM_PALETTE
 
 
 _RENDERERS = {
@@ -165,7 +188,12 @@ _RENDERERS = {
 }
 
 
-def render_view(signal: IqSignal, kind: ViewKind, params: RenderParams | None = None) -> np.ndarray:
-    """Render one view as a deterministic (size, size, 3) uint8 RGB array."""
+def render_labels(signal: IqSignal, kind: ViewKind, params: RenderParams | None = None) -> Rendered:
+    """Render one view as its (size, size) label image and its read-only palette."""
     p = params or RenderParams()
     return _RENDERERS[ViewKind(kind)](signal, p)  # ViewKind raises ValueError on unknown kinds
+
+
+def render_view(signal: IqSignal, kind: ViewKind, params: RenderParams | None = None) -> np.ndarray:
+    """Render one view as a deterministic (size, size, 3) uint8 RGB array."""
+    return paint(*render_labels(signal, kind, params))

@@ -1,6 +1,7 @@
 """Counts, splits, stratification, builders' label plumbing, manifest I/O, schemas."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emforge import builders, corpus, png
+from emforge import builders, corpus, png, raster, views
 from emforge.corpus import (
     ENCODER_THREAD_PREFIX,
     ConfigError,
@@ -36,7 +37,7 @@ from emforge.corpus import (
     write_manifest,
 )
 from emforge.synth import jamming
-from emforge.views import ViewKind, render_view
+from emforge.views import VIEW_ORDER, ViewKind, render_labels, render_view
 
 # How far each jammer kind reaches either side of its centre, as a fraction
 # of the sample rate (phase-code: its main lobe).
@@ -405,6 +406,57 @@ class TestInlineDeflate:
         assert _tree(tmp_path / "got") == _tree(tmp_path / "want")
 
 
+class TestBuildWritesRowsFromLabels:
+    """A rendered build writes each view's PNG rows from its labels and never paints."""
+
+    SPEC = {"counts": {"MR": [1, 1], "SPE": [1, 1]}, "per_bin_min": 0}
+
+    @staticmethod
+    def _drafts(spec):
+        """(sample_id, draft, render params) of every record of `spec`."""
+        for task in corpus.TASK_ORDER:
+            for _, index, fmt in corpus._task_jobs(task, spec):
+                draft = builders.draft_record(task, index, fmt, spec)
+                params = corpus._render_params(spec, draft.constellation_stride)
+                yield builders.record_id(task, index), draft, params
+
+    def test_build_without_paint_writes_the_painted_pngs(self, tmp_path, monkeypatch):
+        spec = CorpusSpec.from_dict(self.SPEC)
+        want = build_corpus(spec, out_dir=str(tmp_path / "want"))
+
+        def no_paint(*args):
+            raise AssertionError("a rendered build painted a view")
+
+        monkeypatch.setattr(raster, "paint", no_paint)
+        monkeypatch.setattr(views, "paint", no_paint)
+        got = build_corpus(spec, out_dir=str(tmp_path / "got"))
+        one = corpus.build_record(spec, "spe-00001", tmp_path / "one")
+        monkeypatch.undo()
+
+        tree = _tree(tmp_path / "got")
+        assert got == want
+        assert tree == _tree(tmp_path / "want")
+        assert _tree(tmp_path / "one") == {p: tree[p] for p in one.view_paths}
+        # Every PNG holds the bytes encode_png writes for the painted view.
+        for sample_id, draft, params in self._drafts(spec):
+            for kind, rel_path in zip(VIEW_ORDER, corpus._view_paths(sample_id)):
+                assert tree[rel_path] == png.encode_png(render_view(draft.signal, kind, params))
+
+    def test_render_view_paints_render_labels(self):
+        spec = CorpusSpec.from_dict(self.SPEC)
+        for _, draft, params in self._drafts(spec):
+            for kind in ViewKind:
+                labels, palette = render_labels(draft.signal, kind, params)
+                assert labels.shape == (spec.image_size, spec.image_size)
+                assert labels.dtype in (np.bool_, np.uint8)
+                assert palette.dtype == np.uint8 and palette.shape[1] == 3
+                assert not palette.flags.writeable
+                assert int(labels.max()) < len(palette)
+                assert np.array_equal(
+                    render_view(draft.signal, kind, params), raster.paint(labels, palette)
+                )
+
+
 class TestConfigValidation:
     def test_snr_grid_outside_paper_range(self):
         spec = _small_spec()
@@ -508,6 +560,31 @@ class TestManifestIo:
             fh.write("{broken\n")
         with pytest.raises(ValueError, match=":3:"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_off_during_the_read_and_restored(self, tmp_path, monkeypatch, enabled):
+        path = tmp_path / "manifest.jsonl"
+        write_manifest(self._records()[:2], path)
+        seen = []
+        from_dict = ManifestRecord.from_dict
+
+        def spy(data):
+            seen.append(gc.isenabled())
+            return from_dict(data)
+
+        monkeypatch.setattr(ManifestRecord, "from_dict", staticmethod(spy))
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert len(read_manifest(path)) == 2
+            assert gc.isenabled() is enabled
+            with open(path, "a") as fh:
+                fh.write('{"sample_id": "x"}\n')
+            with pytest.raises(ValueError, match=":3: malformed manifest line"):
+                read_manifest(path)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False] * 5
 
     def test_record_invariants(self):
         with pytest.raises(ValueError, match="5 options"):

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emforge import views
-from emforge.raster import WHITE, bucket_minmax, column_runs, dot_mask, paint, polyline_runs
+from emforge.raster import (
+    WHITE,
+    bucket_minmax,
+    column_runs,
+    dot_mask,
+    nn_resize,
+    paint,
+    polyline_runs,
+)
 from emforge.signal import IqSignal
 from emforge.views import RenderParams, StftParams, ViewKind, _hann, render_view, stft
 
@@ -173,6 +181,21 @@ def test_bucket_minmax_matches_per_bucket_loop(n):
     want_mins, want_maxs = oracle_bucket_minmax(values, 384)
     assert np.array_equal(mins, want_mins)
     assert np.array_equal(maxs, want_maxs)
+
+
+@pytest.mark.parametrize(
+    "in_shape,out_shape", [((256, 61), (384, 384)), ((7, 500), (16, 33)), ((1, 1), (5, 3))]
+)
+def test_nn_resize_matches_per_pixel_loop(in_shape, out_shape):
+    """Pixel (y, x) reads source pixel (y * in_h // out_h, x * in_w // out_w)."""
+    matrix = np.random.default_rng(sum(in_shape)).integers(0, 256, in_shape, dtype=np.uint8)
+    got = nn_resize(matrix[::-1], *out_shape)
+    (in_h, in_w), (out_h, out_w) = in_shape, out_shape
+    want = [
+        [matrix[::-1][y * in_h // out_h, x * in_w // out_w] for x in range(out_w)]
+        for y in range(out_h)
+    ]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("window_len,hop", [(2, 1), (64, 64), (256, 64), (128, 1)])

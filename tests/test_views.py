@@ -1,6 +1,9 @@
 """FFT/STFT against brute-force oracles, render determinism, PNG codec."""
 
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emforge import png
+from emforge.raster import paint
 from emforge.signal import IqSignal
 from emforge.synth import (
     Cw,
@@ -248,3 +252,51 @@ class TestPng:
         with PIL_Image.open(io.BytesIO(png.encode_png(img))) as loaded:
             pixels = np.asarray(loaded.convert("RGB"))
         assert np.array_equal(pixels, img)
+
+
+# Palette sizes on both sides of each code width's limit (2, 4 and 256 colors).
+_PALETTE_SIZES = st.one_of(st.integers(1, 5), st.integers(6, 256))
+
+
+class TestLabelScanlines:
+    """PNG rows written from labels equal the rows of the painted image."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data(), _PALETTE_SIZES, st.integers(1, 40), st.integers(1, 97), st.booleans())
+    def test_rows_equal_the_painted_rows(self, data, n, height, width, as_bool):
+        palette = np.frombuffer(data.draw(st.binary(min_size=3 * n, max_size=3 * n)), np.uint8)
+        palette = palette.reshape(n, 3)
+        raw = np.frombuffer(
+            data.draw(st.binary(min_size=height * width, max_size=height * width)), np.uint8
+        ).reshape(height, width)
+        if as_bool:
+            labels = raw % min(n, 2) == 1
+        else:
+            labels = raw if n == 256 else raw % n
+        painted = paint(labels, palette)
+        rows = png.label_scanlines(labels, palette)
+        want = png.scanlines(painted)
+        assert rows.dtype == want.dtype and rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+        assert np.array_equal(png.decode_png(png.deflate_scanlines(rows)), painted)
+
+    def test_labels_outside_the_palette_rejected(self):
+        palette = np.zeros((3, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="label 3 is outside the 3-color palette"):
+            png.label_scanlines(np.full((2, 5), 3, dtype=np.uint8), palette)
+        with pytest.raises(ValueError, match="label 1 is outside the 1-color palette"):
+            png.label_scanlines(np.ones((2, 5), dtype=bool), palette[:1])
+        with pytest.raises(ValueError, match="bool or uint8 label array"):
+            png.label_scanlines(np.zeros((2, 5), dtype=np.int64), palette)
+        with pytest.raises(ValueError, match="1 to 256 colors"):
+            png.label_scanlines(np.zeros((2, 5), dtype=np.uint8), np.zeros((257, 3), np.uint8))
+
+    def test_no_table_built_at_import(self):
+        code = "from emforge import png; print(png._group_table.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(png.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
