@@ -124,13 +124,14 @@ _WRAPPED_ANSWERS = {
     if tag is not TagKind.NONE
 }
 
-# Each build process runs one PNG encoder thread, with one view queued
-# behind the view it compresses; when both places are taken the record
-# thread deflates its next view itself instead of waiting. More threads or
-# a deeper queue bought no wall time and cost memory. Pool workers take
-# jobs in chunks.
-_ENCODER_THREADS = 1
-_QUEUED_VIEWS = 1
+# Each build process runs two PNG encoder threads. The record thread drafts
+# each record and hands the encoders one job per record, which renders,
+# lays out and deflates its four views; it keeps at most _RECORDS_IN_FLIGHT
+# records submitted and not yet written. In process a limit of 3, 4 or 6
+# gave the same wall time and 2 was slower. Pool workers take jobs in
+# chunks.
+_ENCODER_THREADS = 2
+_RECORDS_IN_FLIGHT = 4
 _POOL_CHUNK = 8
 ENCODER_THREAD_PREFIX = "emforge-encode"
 
@@ -561,35 +562,37 @@ def _build_one(sample_id: str, task: str, fmt: str, draft, spec: CorpusSpec, out
     )
 
 
+def _encode_views(signal, params) -> list:
+    """The PNG byte strings of a record's four views, in VIEW_ORDER."""
+    return [
+        png.deflate_scanlines(png.label_scanlines(*render_labels(signal, kind, params)))
+        for kind in VIEW_ORDER
+    ]
+
+
 def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
     """The record loop of every build: one ManifestRecord per job, in job order.
 
-    A rendered build is a two-stage pipeline. This thread drafts each
-    record, renders each view's labels and writes its PNG scanlines
-    straight from them (no view is painted); one
-    encoder thread compresses view k while view k+1 renders, with at
-    most one view queued behind it. The loop is work-conserving: when
-    the encoder has one view running and one queued, this thread
-    deflates its ready view itself rather than wait. Every view is
-    deflated on its own by the same function, whichever thread runs it,
-    and its bytes keep their slot in VIEW_ORDER. A record's PNG bytes
-    are hashed and written on this thread, in VIEW_ORDER, once the next
-    record's views are rendered, so no output byte depends on the
-    encoder. Plan mode renders nothing and starts no thread. Any failure
-    re-raises as a RecordError naming its record, and the encoder
-    thread is joined on every exit.
+    A rendered build runs one job per record on two encoder threads. This
+    thread drafts each record and submits its job, which renders each
+    view's labels, writes its PNG scanlines straight from them (no view is
+    painted) and deflates them, in VIEW_ORDER. Once _RECORDS_IN_FLIGHT
+    records are submitted, this thread waits for the oldest one's PNG
+    bytes, then hashes and writes them, so records finish in job order
+    and `builders.draft_record` and `_build_one` always run on this
+    thread (perfbench's tracer wraps both and keeps one span stack for
+    every thread). Each view is encoded on its own by the same functions,
+    whichever encoder runs it, so no output byte depends on the threads.
+    Plan mode renders nothing and starts no thread. Any failure re-raises
+    as a RecordError naming its record, and the encoder threads are
+    joined on every exit.
     """
     records = []
-    # The latest submitted views: the encoder runs them in FIFO order, so
-    # once the oldest is done at most _QUEUED_VIEWS are still queued.
-    submitted = deque(maxlen=_QUEUED_VIEWS + 1)
-    previous = None  # (record args, pngs) rendered but not yet hashed and written
+    pending = deque()  # (record args, future of its PNG bytes), oldest first
 
-    def finish(args, pngs) -> None:
-        # pngs holds, per view, its bytes if deflated here, else its Future.
+    def finish(args, future) -> None:
         with _naming(args[0]):
-            if pngs is not None:
-                pngs = [p if isinstance(p, bytes) else p.result() for p in pngs]
+            pngs = None if future is None else future.result()
             records.append(_build_one(*args, spec, out_dir, pngs))
 
     encoder = (
@@ -606,23 +609,12 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
                 if encoder is None:
                     finish(args, None)
                     continue
-                pngs = []
                 params = _render_params(spec, draft.constellation_stride)
-                for kind in VIEW_ORDER:
-                    rows = png.label_scanlines(*render_labels(draft.signal, kind, params))
-                    # One view running and one queued: deflate here rather than wait.
-                    if len(submitted) == submitted.maxlen and not submitted[0].done():
-                        pngs.append(png.deflate_scanlines(rows))
-                    else:
-                        pngs.append(encoder.submit(png.deflate_scanlines, rows))
-                        submitted.append(pngs[-1])
-            # The previous record's views went to the encoder before this
-            # record's; finish waits for any it has not compressed yet.
-            if previous is not None:
-                finish(*previous)
-            previous = args, pngs
-        if previous is not None:
-            finish(*previous)
+                pending.append((args, encoder.submit(_encode_views, draft.signal, params)))
+            if len(pending) == _RECORDS_IN_FLIGHT:
+                finish(*pending.popleft())
+        while pending:
+            finish(*pending.popleft())
     finally:
         if encoder is not None:
             encoder.shutdown(wait=True, cancel_futures=True)
@@ -673,7 +665,8 @@ def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool 
     jobs = [job for task in TASK_ORDER for job in _task_jobs(task, spec)]
     if workers > 1:
         # This process starts no encoder thread, so none is alive when the
-        # pool forks; each worker runs the record loop, with its own encoder, per chunk.
+        # pool forks; each worker runs the record loop, with its own two
+        # encoder threads, per chunk.
         # Imported here: multiprocessing costs every other command its import time.
         from concurrent.futures import ProcessPoolExecutor
 

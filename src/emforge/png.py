@@ -7,15 +7,16 @@ Encoding is two steps. The first lays the pixels out as filter-0 rows
 or `label_scanlines` straight from a view's label image and palette, the
 same rows without painting the image first. A build writes every view's
 rows with `label_scanlines`. `deflate_scanlines` then compresses the rows
-and assembles the chunks. zlib releases the GIL while it compresses, so
-the second step can run on another thread, and a build runs it on
-whichever thread is free: its encoder thread, or the thread that
-rendered the view when the encoder is busy. Each call compresses one
-view alone, and deflate output depends only on the input bytes and the
-level, so which thread runs it cannot change a byte. `encode_png` is
-`scanlines` and `deflate_scanlines` in a row.
+and assembles the chunks. A build runs both steps, with the view's
+render, on one of its two encoder threads, where zlib releases the GIL
+while it compresses. Each call compresses one view alone, and deflate
+output depends only on the input bytes and the level, so which thread
+runs it cannot change a byte. `encode_png` is `scanlines` and
+`deflate_scanlines` in a row.
 The decoder reads only what the encoder writes: 8-bit RGB, non-interlaced,
-filter 0 on every row; any other filter byte is a ValueError.
+filter 0 on every row; any other filter byte is a ValueError. So is a
+malformed stream: a truncated chunk, a CRC mismatch, a missing IHDR or
+IEND, or an IDAT stream that does not inflate.
 """
 
 from __future__ import annotations
@@ -128,18 +129,32 @@ def encode_png(pixels: np.ndarray) -> bytes:
 
 
 def decode_png(data: bytes) -> np.ndarray:
-    """Decode an 8-bit RGB non-interlaced filter-0 PNG into a read-only (H, W, 3) uint8 array."""
+    """Decode an 8-bit RGB non-interlaced filter-0 PNG into a read-only (H, W, 3) uint8 array.
+
+    Every chunk up to IEND must be whole and carry its CRC; a truncated
+    stream, a bad CRC, a missing IHDR or IEND, or an IDAT stream zlib
+    cannot inflate is a ValueError naming the fault.
+    """
     if data[:8] != _SIGNATURE:
         raise ValueError("not a PNG byte stream")
     pos = 8
     width = height = None
     idat = b""
-    while pos < len(data):
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        tag = data[pos + 4 : pos + 8]
-        payload = data[pos + 8 : pos + 8 + length]
-        pos += 12 + length
+    while True:
+        if pos + 8 > len(data):
+            raise ValueError(f"PNG truncated at byte {pos}: missing IEND chunk")
+        length, tag = struct.unpack(">I4s", data[pos : pos + 8])
+        end = pos + 8 + length
+        if end + 4 > len(data):
+            raise ValueError(f"PNG truncated inside the {tag!r} chunk at byte {pos}")
+        payload = data[pos + 8 : end]
+        (crc,) = struct.unpack(">I", data[end : end + 4])
+        if crc != zlib.crc32(payload, zlib.crc32(tag)):
+            raise ValueError(f"CRC mismatch in the {tag!r} chunk at byte {pos}")
+        pos = end + 4
         if tag == b"IHDR":
+            if length != 13:
+                raise ValueError(f"IHDR chunk holds {length} bytes, not 13")
             width, height, depth, color, _, _, interlace = struct.unpack(">IIBBBBB", payload)
             if depth != 8 or color != 2 or interlace != 0:
                 raise ValueError("decoder supports 8-bit RGB non-interlaced PNG only")
@@ -149,7 +164,10 @@ def decode_png(data: bytes) -> np.ndarray:
             break
     if width is None:
         raise ValueError("missing IHDR chunk")
-    raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
+    try:
+        raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
+    except zlib.error as exc:
+        raise ValueError(f"IDAT stream does not inflate: {exc}") from None
     if raw.size != height * (1 + width * 3):
         raise ValueError("PNG payload size mismatch")
     rows = raw.reshape(height, 1 + width * 3)

@@ -36,7 +36,11 @@ def pytest_unconfigure(config):
 
 @pytest.fixture(autouse=True)
 def no_encoder_thread_left():
-    """Fail any test that leaves a PNG encoder thread alive."""
+    """Fail any test that leaves one of a build's PNG encoder threads alive.
+
+    A rendered build starts two encoder threads per process and joins
+    them on every exit, failures included.
+    """
     yield
     alive = [t.name for t in threading.enumerate() if t.name.startswith(ENCODER_THREAD_PREFIX)]
     if alive:

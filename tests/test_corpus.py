@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -372,36 +373,66 @@ def _tree(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-class TestInlineDeflate:
-    """The record thread deflates a view itself when the encoder is busy, moving no byte."""
+class TestEncoderThreads:
+    """Encoder threads deflate every view; drafting, hashing and writing stay on the caller."""
 
-    SPEC = {"counts": {"MR": [1, 3]}, "per_bin_min": 0}
+    SPEC = {"counts": {"MR": [2, 4]}, "per_bin_min": 0}
     TIMEOUT_S = 10
 
-    def test_inline_views_write_the_same_tree(self, tmp_path, monkeypatch):
+    def test_views_deflate_on_encoder_threads_records_finish_on_the_caller(self, monkeypatch):
+        spec = CorpusSpec.from_dict(self.SPEC)
+        calls = {"deflate": [], "draft": [], "build_one": []}
+
+        def on_thread(name, fn, delay=0.0):
+            def recorded(*args, **kwargs):
+                calls[name].append(threading.current_thread())
+                time.sleep(delay)
+                return fn(*args, **kwargs)
+
+            return recorded
+
+        # Slow deflates keep the encoders busy, so a loop that deflates on
+        # the calling thread when they are busy does so here.
+        slow_deflate = on_thread("deflate", png.deflate_scanlines, 0.02)
+        monkeypatch.setattr(png, "deflate_scanlines", slow_deflate)
+        monkeypatch.setattr(builders, "draft_record", on_thread("draft", builders.draft_record))
+        monkeypatch.setattr(corpus, "_build_one", on_thread("build_one", corpus._build_one))
+        train, bench = build_corpus(spec)
+
+        records = len(train) + len(bench)
+        assert len(calls["deflate"]) == 4 * records
+        assert all(t.name.startswith(ENCODER_THREAD_PREFIX) for t in calls["deflate"])
+        assert len({t.name for t in calls["deflate"]}) <= corpus._ENCODER_THREADS
+        caller = threading.current_thread()
+        assert calls["draft"] == [caller] * records
+        assert calls["build_one"] == [caller] * records
+
+    def test_held_first_record_writes_the_same_tree(self, tmp_path, monkeypatch):
         spec = CorpusSpec.from_dict(self.SPEC)
         want = build_corpus(spec, out_dir=str(tmp_path / "want"))
+        first = builders.draft_record("MR", 0, "OpenQA", spec)
+        params = corpus._render_params(spec, first.constellation_stride)
+        held_rows = png.label_scanlines(*render_labels(first.signal, VIEW_ORDER[0], params))
         deflate = png.deflate_scanlines
-        inline_done = threading.Event()
-        inline_calls = []
+        overtaken = threading.Event()
+        held = []
 
         def gated(rows):
-            if threading.current_thread().name.startswith(ENCODER_THREAD_PREFIX):
-                # The encoder stalls until the record thread has deflated a view
-                # itself; a loop that waits on the encoder instead fails here,
-                # once: the event is set so later views do not stall too.
-                if not inline_done.wait(self.TIMEOUT_S):
-                    inline_done.set()
-                    raise RuntimeError("record thread never deflated a view itself")
+            if np.array_equal(rows, held_rows):
+                held.append(rows)
+                # The first record's first view waits until a view of a
+                # later record is deflated; a loop that cannot run ahead
+                # of its oldest record fails here.
+                if not overtaken.wait(self.TIMEOUT_S):
+                    raise RuntimeError("no later view was deflated while the first was held")
                 return deflate(rows)
             data = deflate(rows)
-            inline_calls.append(len(data))
-            inline_done.set()
+            overtaken.set()
             return data
 
         monkeypatch.setattr(png, "deflate_scanlines", gated)
         got = build_corpus(spec, out_dir=str(tmp_path / "got"))
-        assert inline_calls
+        assert len(held) == 1 and overtaken.is_set()
         assert got == want
         assert _tree(tmp_path / "got") == _tree(tmp_path / "want")
 

@@ -1,4 +1,5 @@
-"""The benchmark's tracer patches emforge functions by name; those names must stay."""
+"""The benchmark's tracer patches emforge functions by name; those names must stay,
+and a traced build must run every wrapped call on the thread that started it."""
 
 import os
 
@@ -31,3 +32,26 @@ def test_tracer_patches_and_restores_every_name(monkeypatch):
         now = vars(m)
         assert now.keys() == old.keys(), m.__name__
         assert all(now[name] is value for name, value in old.items()), m.__name__
+
+
+def test_traced_rendered_build_closes_every_span(monkeypatch, tmp_path):
+    """The tracer keeps one span stack, so every call it wraps must run on the calling thread."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    spec = corpus.CorpusSpec.from_dict({"counts": {"MR": [1, 3]}, "per_bin_min": 0})
+    tracer = tracing.Tracer("t")
+    tracing.install(tracer, corpus, metrics, builders)
+    try:
+        root = tracer.start(tracing.ROOT)
+        train, bench = corpus.build_corpus(spec, str(tmp_path), render=True)
+        tracer.end(root)
+    finally:
+        tracer.uninstall()
+    assert len(train) + len(bench) == 4
+    assert [s[0] for s in tracer.spans].count("builders.draft") == 4
+    assert not tracer._open
+    assert all(end is not None for _, _, end, _, _ in tracer.spans)
+    # Drafts and record builds nest under the run, never inside one another.
+    nested = ("builders.draft", "corpus.build_one")
+    assert all(parent == root for name, _, _, parent, _ in tracer.spans if name in nested)

@@ -242,6 +242,74 @@ class TestPng:
         assert chunks[-1] == (b"IEND", b"")
         assert np.array_equal(png.decode_png(data), img)
 
+    @staticmethod
+    def _small_png() -> bytes:
+        return png.encode_png(np.arange(6 * 7 * 3, dtype=np.uint8).reshape(6, 7, 3))
+
+    @staticmethod
+    def _flip(data: bytes, at: int) -> bytes:
+        return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
+
+    def test_every_truncation_is_a_value_error(self):
+        data = self._small_png()
+        with pytest.raises(ValueError, match="truncated at byte 33: missing IEND"):
+            png.decode_png(data[:33])  # IHDR ends at byte 33
+        for cut in range(len(data)):
+            with pytest.raises(ValueError):
+                png.decode_png(data[:cut])
+
+    @pytest.mark.parametrize("cut, tag", [(20, b"IHDR"), (50, b"IDAT")])
+    def test_truncated_chunk_names_it(self, cut, tag):
+        with pytest.raises(ValueError, match=f"truncated inside the {tag!r} chunk"):
+            png.decode_png(self._small_png()[:cut])
+
+    @pytest.mark.parametrize(
+        "tag, part",
+        [
+            (b"IHDR", "payload"),
+            (b"IHDR", "crc"),
+            (b"IDAT", "payload"),
+            (b"IDAT", "crc"),
+            (b"IEND", "crc"),
+        ],
+    )
+    def test_flipped_byte_fails_the_chunk_crc(self, tag, part):
+        data = self._small_png()
+        start = data.index(tag) - 4
+        (length,) = struct.unpack(">I", data[start : start + 4])
+        at = start + 8 + (0 if part == "payload" else length)
+        with pytest.raises(ValueError, match=f"CRC mismatch in the {tag!r} chunk at byte {start}"):
+            png.decode_png(self._flip(data, at))
+
+    @staticmethod
+    def _assemble(ihdr: bytes, idat: bytes) -> bytes:
+        """A PNG of whole chunks with valid CRCs around the given payloads."""
+        chunks = png._chunk(b"IHDR", ihdr) + png._chunk(b"IDAT", idat) + png._chunk(b"IEND", b"")
+        return b"\x89PNG\r\n\x1a\n" + chunks
+
+    def test_cut_idat_stream_is_a_value_error(self):
+        rows = png.scanlines(np.arange(6 * 7 * 3, dtype=np.uint8).reshape(6, 7, 3))
+        ihdr = struct.pack(">IIBBBBB", 7, 6, 8, 2, 0, 0, 0)
+        whole = png.decode_png(self._assemble(ihdr, zlib.compress(rows, 6)))
+        assert np.array_equal(whole, rows[:, 1:].reshape(6, 7, 3))
+        with pytest.raises(ValueError, match="IDAT stream does not inflate"):
+            png.decode_png(self._assemble(ihdr, zlib.compress(rows, 6)[:-9]))
+
+    def test_short_ihdr_is_a_value_error(self):
+        ihdr = struct.pack(">IIBBBB", 7, 6, 8, 2, 0, 0)
+        with pytest.raises(ValueError, match="IHDR chunk holds 12 bytes, not 13"):
+            png.decode_png(self._assemble(ihdr, zlib.compress(b"")))
+
+    def test_missing_iend_is_a_value_error(self):
+        data = self._small_png()
+        assert data[-12:] == png._chunk(b"IEND", b"")
+        with pytest.raises(ValueError, match="missing IEND"):
+            png.decode_png(data[:-12])
+
+    def test_bytes_after_iend_are_ignored(self):
+        data = self._small_png()
+        assert np.array_equal(png.decode_png(data + b"trailing"), png.decode_png(data))
+
     def test_pillow_cross_decode(self):
         # Independent decoder oracle.
         import io
