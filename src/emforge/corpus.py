@@ -124,15 +124,14 @@ _WRAPPED_ANSWERS = {
     if tag is not TagKind.NONE
 }
 
-# Each build process runs two PNG encoder threads. The record thread drafts
-# each record and hands the encoders one job per record, which renders,
-# lays out and deflates its four views; it keeps at most _RECORDS_IN_FLIGHT
-# records submitted and not yet written. In process a limit of 3, 4 or 6
-# gave the same wall time and 2 was slower. Pool workers take jobs in
-# chunks.
+# Each build process runs one record loop with two PNG encoder threads for
+# the whole build. The record thread drafts each record and hands the
+# encoders one job per record, which renders, lays out and deflates its four
+# views; it keeps at most _RECORDS_IN_FLIGHT records submitted and not yet
+# written. In process a limit of 3, 4 or 6 gave the same wall time and 2 was
+# slower.
 _ENCODER_THREADS = 2
 _RECORDS_IN_FLIGHT = 4
-_POOL_CHUNK = 8
 ENCODER_THREAD_PREFIX = "emforge-encode"
 
 
@@ -562,63 +561,57 @@ def _build_one(sample_id: str, task: str, fmt: str, draft, spec: CorpusSpec, out
     )
 
 
-def _encode_views(signal, params) -> list:
-    """The PNG byte strings of a record's four views, in VIEW_ORDER."""
+def _encode_views(draft, spec: CorpusSpec) -> list:
+    """The PNG byte strings of a drafted record's four views, in VIEW_ORDER."""
+    params = _render_params(spec, draft.constellation_stride)
     return [
-        png.deflate_scanlines(png.label_scanlines(*render_labels(signal, kind, params)))
+        png.deflate_scanlines(png.label_scanlines(*render_labels(draft.signal, kind, params)))
         for kind in VIEW_ORDER
     ]
 
 
+def _drafted(jobs, spec: CorpusSpec):
+    """(sample_id, task, format, draft) of each job in order; a failed draft names its record."""
+    for task, index, fmt in jobs:
+        sample_id = builders.record_id(task, index)
+        with _naming(sample_id):
+            draft = builders.draft_record(task, index, fmt, spec)
+        yield sample_id, task, fmt, draft
+
+
+def _finished(args, encoded, spec: CorpusSpec, out_dir) -> ManifestRecord:
+    """`_build_one` of drafted `args`, on the PNG bytes the future `encoded`
+    holds, or on none in plan mode; a failure of either names the record."""
+    with _naming(args[0]):
+        return _build_one(*args, spec, out_dir, None if encoded is None else encoded.result())
+
+
 def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
-    """The record loop of every build: one ManifestRecord per job, in job order.
+    """The record loop of a build process: one ManifestRecord per job, in job order.
 
-    A rendered build runs one job per record on two encoder threads. This
-    thread drafts each record and submits its job, which renders each
-    view's labels, writes its PNG scanlines straight from them (no view is
-    painted) and deflates them, in VIEW_ORDER. Once _RECORDS_IN_FLIGHT
-    records are submitted, this thread waits for the oldest one's PNG
-    bytes, then hashes and writes them, so records finish in job order
-    and `builders.draft_record` and `_build_one` always run on this
-    thread (perfbench's tracer wraps both and keeps one span stack for
-    every thread). Each view is encoded on its own by the same functions,
-    whichever encoder runs it, so no output byte depends on the threads.
-    Plan mode renders nothing and starts no thread. Any failure re-raises
-    as a RecordError naming its record, and the encoder threads are
-    joined on every exit.
+    This thread drafts, hashes and writes every record, so
+    `builders.draft_record` and `_build_one` always run on it (perfbench's
+    tracer wraps both and keeps one span stack for every thread). Plan mode
+    starts no thread. A rendered build opens one pool of two encoder
+    threads for all of `jobs`, and each drafted record becomes one job that
+    renders its views' labels, writes PNG scanlines straight from them and
+    deflates them, in VIEW_ORDER. With _RECORDS_IN_FLIGHT records submitted,
+    this thread writes the oldest before it drafts the next. Each view is
+    encoded on its own by the same functions, whichever encoder runs it, so
+    no output byte depends on the threads. Any failure re-raises as a
+    RecordError naming its record; the `with` block joins the encoders on
+    every exit.
     """
-    records = []
-    pending = deque()  # (record args, future of its PNG bytes), oldest first
-
-    def finish(args, future) -> None:
-        with _naming(args[0]):
-            pngs = None if future is None else future.result()
-            records.append(_build_one(*args, spec, out_dir, pngs))
-
-    encoder = (
-        ThreadPoolExecutor(max_workers=_ENCODER_THREADS, thread_name_prefix=ENCODER_THREAD_PREFIX)
-        if render
-        else None
-    )
-    try:
-        for task, index, fmt in jobs:
-            sample_id = builders.record_id(task, index)
-            with _naming(sample_id):
-                draft = builders.draft_record(task, index, fmt, spec)
-                args = (sample_id, task, fmt, draft)
-                if encoder is None:
-                    finish(args, None)
-                    continue
-                params = _render_params(spec, draft.constellation_stride)
-                pending.append((args, encoder.submit(_encode_views, draft.signal, params)))
-            if len(pending) == _RECORDS_IN_FLIGHT:
-                finish(*pending.popleft())
-        while pending:
-            finish(*pending.popleft())
-    finally:
-        if encoder is not None:
-            encoder.shutdown(wait=True, cancel_futures=True)
-    return records
+    drafted = _drafted(jobs, spec)
+    if not render:
+        return [_finished(args, None, spec, out_dir) for args in drafted]
+    with ThreadPoolExecutor(_ENCODER_THREADS, thread_name_prefix=ENCODER_THREAD_PREFIX) as encoder:
+        in_flight, records = deque(), []
+        for args in drafted:
+            in_flight.append((args, encoder.submit(_encode_views, args[3], spec)))
+            if len(in_flight) == _RECORDS_IN_FLIGHT:
+                records.append(_finished(*in_flight.popleft(), spec, out_dir))
+        return records + [_finished(*job, spec, out_dir) for job in in_flight]
 
 
 def _task_jobs(task: str, spec: CorpusSpec):
@@ -651,8 +644,10 @@ def build_record(spec: CorpusSpec, sample_id: str, out_dir) -> ManifestRecord:
 def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool = True):
     """Build every task, stratify the bench, and write the two manifests.
 
-    Returns (train_records, bench_records). Output is independent of the
-    worker count: records are pure functions of (spec, sample_id) and the
+    Returns (train_records, bench_records). With `workers` N > 1 and more
+    than one record, min(N, records) worker processes each run the record
+    loop once, on every N-th job. Output is independent of the worker
+    count: records are pure functions of (spec, sample_id) and the
     manifests are sorted. Fewer than one worker raises ConfigError before
     anything is written.
     """
@@ -663,16 +658,16 @@ def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool 
         os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
 
     jobs = [job for task in TASK_ORDER for job in _task_jobs(task, spec)]
-    if workers > 1:
-        # This process starts no encoder thread, so none is alive when the
-        # pool forks; each worker runs the record loop, with its own two
-        # encoder threads, per chunk.
+    shares = [jobs[i::workers] for i in range(min(workers, len(jobs)))]
+    if len(shares) > 1:
+        # One worker process per share, each running the record loop once
+        # with its own two encoder threads. This process starts no encoder
+        # thread, so none is alive when the pool forks its workers.
         # Imported here: multiprocessing costs every other command its import time.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [jobs[i : i + _POOL_CHUNK] for i in range(0, len(jobs), _POOL_CHUNK)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_build_records, chunks, repeat(spec), repeat(out_dir), repeat(render))
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            parts = pool.map(_build_records, shares, repeat(spec), repeat(out_dir), repeat(render))
             records = [record for part in parts for record in part]
     else:
         records = _build_records(jobs, spec, out_dir, render)

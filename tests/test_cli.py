@@ -269,11 +269,15 @@ class TestScore:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
 
-    @pytest.fixture
-    def built(self, tmp_path, config_path):
-        out = tmp_path / "corpus"
-        assert main(["build", "--config", config_path, "--out", str(out)]) == 0
-        return out
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        # One corpus for the class: its tests only read it and write under
+        # their own tmp_path.
+        root = tmp_path_factory.mktemp("score")
+        config = root / "config.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        assert main(["build", "--config", str(config), "--out", str(root / "corpus")]) == 0
+        return root / "corpus"
 
     def _write_preds(self, path, records, text_fn):
         with open(path, "w") as fh:

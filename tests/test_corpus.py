@@ -1,5 +1,6 @@
 """Counts, splits, stratification, builders' label plumbing, manifest I/O, schemas."""
 
+import concurrent.futures
 import dataclasses
 import gc
 import hashlib
@@ -366,6 +367,56 @@ class TestRecordErrors:
             build_corpus(spec, render=render)
         assert err.value.sample_id == "mr-00001"
         assert not self._encoder_threads()
+
+
+class TestWorkerShares:
+    """`workers=N` runs the record loop once on each interleaved share of the
+    jobs, in one worker process per non-empty share."""
+
+    SPEC = {"counts": {"MR": [4, 8]}, "per_bin_min": 0}
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """What an in-process stand-in for the process pool was asked to do."""
+        seen = {"max_workers": [], "calls": []}
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                seen["max_workers"].append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                calls = list(zip(*iterables))
+                seen["calls"] += [(fn, args[0]) for args in calls]
+                return [fn(*args) for args in calls]
+
+        # build_corpus imports the pool class when it needs one, so it gets this one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return seen
+
+    def _jobs(self, spec):
+        return [job for task in corpus.TASK_ORDER for job in corpus._task_jobs(task, spec)]
+
+    def test_each_worker_builds_every_nth_record_in_one_loop(self, pool):
+        spec = CorpusSpec.from_dict(self.SPEC)
+        jobs = self._jobs(spec)
+        assert len(jobs) == 12
+        assert build_corpus(spec, render=False, workers=2) == build_corpus(spec, render=False)
+        assert pool["max_workers"] == [2]
+        loop = corpus._build_records
+        assert pool["calls"] == [(loop, jobs[0::2]), (loop, jobs[1::2])]
+
+    def test_no_more_workers_than_records(self, pool):
+        spec = CorpusSpec.from_dict(self.SPEC)
+        jobs = self._jobs(spec)
+        assert build_corpus(spec, render=False, workers=50) == build_corpus(spec, render=False)
+        assert pool["max_workers"] == [12]
+        assert pool["calls"] == [(corpus._build_records, [job]) for job in jobs]
 
 
 def _tree(root: Path) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from emforge import builders, corpus
 from emforge.corpus import CorpusSpec
 from emforge.views import fft_magnitude
+from test_corpus import JAMMER_HALF_EXTENT
 
 AJSD_LOW_EDGE_HZ = corpus.SAMPLE_RATE_WINDOWS_HZ["AJSD"][0]
 
@@ -29,6 +30,29 @@ def test_ajsd_tone_jammer_is_the_spectral_peak(rate):
             assert abs(int(np.argmax(magnitude)) - labelled_bin) <= 1.0, (index, jammer)
     # Archetypes 1 and 6 of every 8 carry a tone.
     assert tones == 16
+
+
+@pytest.mark.parametrize("kind", ["multitone", "noise-band", "lfm-sweep", "phase-code"])
+def test_ajsd_jammer_power_lies_within_its_labelled_extent(kind):
+    # The weakest jammer is 5 dB over the whole background, so it holds over
+    # three quarters of the record's power (a phase code's main lobe about
+    # 90 % of its own). Under a Hann window a spectral line spreads 2 bins
+    # each side, so the window about the labelled centre offset is the
+    # kind's half extent plus 2 bins.
+    spec = CorpusSpec()
+    rate = spec.sample_rates["AJSD"]
+    step = len(builders.AJSD_ARCHETYPES)
+    for index in range(builders.AJSD_ARCHETYPES.index((kind,)), 16 * step, step):
+        draft = builders.draft_record("AJSD", index, "OpenQA", spec)
+        (jammer,) = draft.ground_truth["jammers"]
+        assert jammer["kind"] == kind
+        samples = draft.signal.samples
+        n = len(samples)
+        power = np.abs(np.fft.fft(samples * np.hanning(n))) ** 2
+        offsets = np.fft.fftfreq(n, 1 / rate) - jammer["center_offset_hz"]
+        inside = np.abs(offsets) <= JAMMER_HALF_EXTENT[kind] * rate + 2 * rate / n
+        share = power[inside].sum() / power.sum()
+        assert share > 0.5, (index, jammer, share)
 
 
 SPE_LOW_EDGE_HZ, SPE_HIGH_EDGE_HZ = corpus.SAMPLE_RATE_WINDOWS_HZ["SPE"]
