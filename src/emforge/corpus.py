@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+import sys
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -32,6 +33,7 @@ from .instrgen import OPTION_LETTERS, TASK_TAGS, TagKind, UNABLE_TO_ANSWER
 from .png import encode_png  # noqa: F401
 from .synth import PROTOCOL_CLASSES, default_burst_spec
 from .synth.jamming import SWEEP_SPAN_FRACTION
+from .synth.modulations import CPFSK_MOD_INDEX, GFSK_MOD_INDEX, WBFM_DEVIATION_HZ
 from .views import (  # noqa: F401
     DEFAULT_IMAGE_SIZE,
     RenderParams,
@@ -91,19 +93,35 @@ DEFAULT_SAMPLE_RATES = {
 # - AJSD: a jammer centred up to 5 MHz off must keep its whole extent in the
 #   band. The widest is the LFM sweep, SWEEP_SPAN_FRACTION * fs wide (fs/16
 #   each side; noise-band and phase-code reach fs/20, multitone fs/64), so
-#   fs > 5 MHz / (1/2 - 1/16), about 11.43 MHz.
-# - MR and EI draw at any positive rate.
+#   fs > 5 MHz / (1/2 - 1/16), about 11.43 MHz. The sweep's chirp rate,
+#   (fs/8) / (4096 / fs / 4) = fs^2 / 8192 Hz/s, must stay below half the
+#   largest float: fs <= sqrt(4096 * float max), about 8.58e155 Hz.
+# - MR and EI draw at any rate at which their arithmetic stays finite, each
+#   bound keeping the largest value below half the largest float. MR's WBFM
+#   phase, 2 pi * 75 kHz * cumsum(m) / fs, with |cumsum(m)| <= 1024 for a
+#   unit-RMS message of 1024 samples, sets its floor; its CPFSK/GFSK phase,
+#   2 pi * cumsum(h/2 * fs/8 * steps) with |steps| <= 1 over 1024 samples,
+#   its ceiling. EI's CFO rotation divides by fs, which overflows below the
+#   smallest normal float.
 _PR_MAX_EXTENT_HZ = max(
     max(map(abs, spec.hop_pattern or (0.0,))) + spec.symbol_rate_hz
     for spec in map(default_burst_spec, PROTOCOL_CLASSES)
 )
+_HALF_MAX_FLOAT = sys.float_info.max / 2
 SAMPLE_RATE_WINDOWS_HZ = {
     "SSD": (max(1 / 2e-6, max(builders.SSD_LFM_SWEEPS_HZ)), builders.SEGMENT_SAMPLES / 130e-6),
     "SPE": (max(1 / 1e-6, max(builders.SPE_LFM_SWEEPS_HZ)), builders.SEGMENT_SAMPLES / 238e-6),
-    "MR": (0.0, math.inf),
+    "MR": (
+        2 * math.pi * WBFM_DEVIATION_HZ * builders.MR_SAMPLES / _HALF_MAX_FLOAT,
+        _HALF_MAX_FLOAT
+        / (math.pi * builders.MR_SAMPLES * max(CPFSK_MOD_INDEX, GFSK_MOD_INDEX) / builders.MR_SPS),
+    ),
     "PR": (2 * _PR_MAX_EXTENT_HZ, math.inf),
-    "EI": (0.0, math.inf),
-    "AJSD": (builders.AJSD_MAX_OFFSET_MHZ * 1e6 / (0.5 - SWEEP_SPAN_FRACTION / 2), math.inf),
+    "EI": (sys.float_info.min, math.inf),
+    "AJSD": (
+        builders.AJSD_MAX_OFFSET_MHZ * 1e6 / (0.5 - SWEEP_SPAN_FRACTION / 2),
+        math.sqrt(builders.SEGMENT_SAMPLES) * math.sqrt(sys.float_info.max),
+    ),
 }
 
 DEFAULT_SPLIT_SALT = "emforge-split-v1"

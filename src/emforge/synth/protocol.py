@@ -90,13 +90,18 @@ def gen_protocol_burst(
     pos = 0
     burst_idx = 0
     while pos < n:
-        burst = np.repeat(_burst_symbols(spec, rng), sps)
+        # Draw every burst's symbols (the rng stream depends on it), but hold
+        # only the samples that fit: a whole burst is sps samples per symbol,
+        # which grows with the sample rate. A divisor of n or more holds the
+        # first symbol throughout and keeps a huge sps out of int64.
+        symbols = _burst_symbols(spec, rng)
+        stop = min(pos + symbols.size * sps, n)
+        burst = symbols[np.arange(stop - pos) // min(sps, n)]
         if spec.hop_pattern:
             offset = spec.hop_pattern[burst_idx % len(spec.hop_pattern)]
             t = np.arange(burst.size) / sample_rate_hz
             burst = burst * np.exp(1j * 2 * np.pi * offset * t)
-        stop = min(pos + burst.size, n)
-        x[pos:stop] = burst[: stop - pos]
+        x[pos:stop] = burst
         pos = stop + gap_n
         burst_idx += 1
 

@@ -7,7 +7,6 @@ lines; the suite also passes silently under plain `pytest`.
 import hashlib
 import json
 import os
-import platform
 from collections import Counter
 from contextlib import contextmanager
 
@@ -40,7 +39,7 @@ from emforge.signal import IqSignal, measure_snr
 from emforge.synth import apply_awgn, gen_noise
 from emforge.views import fft_magnitude
 
-from test_golden import pixel_digest
+from test_golden import pixel_digest, running_versions
 from test_metrics import oracle_bleu4, oracle_cider, oracle_rouge_l, _random_sentence
 
 
@@ -316,7 +315,7 @@ def test_criterion_10_gold_run(desk_corpus):
 # it moves with the numpy FFT and zlib in use, so an upgrade is a re-pin.
 DESK_TREE_DIGEST = "e2abd588545aab2d69fe826f3c2bdc9652bcac329b60e755645bee7e87652cc6"
 DESK_PIXEL_DIGEST = "425dc4807fa873be56c1a547501f06ff8ba05ce94f12ceadf131072a64c11ddb"
-DESK_PINNED_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6"}
+DESK_PINNED_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "zlib": "1.2.13"}
 
 
 def test_criterion_11_full_build_determinism(desk_corpus, tmp_path):
@@ -325,7 +324,7 @@ def test_criterion_11_full_build_determinism(desk_corpus, tmp_path):
         second = tmp_path / "corpus-again"
         build_corpus(spec, out_dir=str(second))
         assert _tree_hash(out) == _tree_hash(second)
-        running = {"python": platform.python_version(), "numpy": np.__version__}
+        running = running_versions()
         assert _tree_hash(out) == DESK_TREE_DIGEST, (
             f"desk tree bytes changed; pinned with {DESK_PINNED_VERSIONS}, running {running}"
         )

@@ -1,20 +1,35 @@
 """End-to-end command-line behavior and exit codes."""
 
 import argparse
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import emforge
 from emforge.cli import _load_spec, _parser, main
-from emforge.corpus import CorpusSpec, DEFAULT_SNR_GRIDS, gold_prediction, read_manifest
+from emforge.corpus import (
+    SAMPLE_RATE_WINDOWS_HZ,
+    TASK_ORDER,
+    CorpusSpec,
+    DEFAULT_SAMPLE_RATES,
+    DEFAULT_SNR_GRIDS,
+    gold_prediction,
+    read_manifest,
+)
 from emforge.metrics import TEXT_METRICS, ScoreReport
 
 SMALL_CONFIG = {
@@ -745,3 +760,112 @@ class TestRenderCommand:
         code = main(["score", "--manifest", str(tmp_path / "nope.jsonl"),
                      "--predictions", str(tmp_path / "nope2.jsonl")])
         assert code == 2
+
+
+# One record of every (task, format) cell at the smallest useful image size.
+TINY_CONFIG = {
+    "counts": {
+        "SSD": [1, 1],
+        "SPE": [1, 0],
+        "MR": [0, 1],
+        "PR": [0, 1],
+        "EI": [0, 1],
+        "AJSD": [1, 0],
+    },
+    "snr_grids": {"SSD": [20], "SPE": [20], "MR": [18], "PR": [18]},
+    "sample_rates": dict(DEFAULT_SAMPLE_RATES),
+    "image_size": 16,
+}
+_JSON_JUNK = [True, False, None, "16", 1.5, -1, [], {}, [1, 2], {"SSD": 1}]
+
+
+def _rates_about_the_window(task):
+    """Each edge of the task's window, the next float either side of it, and
+    rates no window takes."""
+    rates = {0.0, -1e6, math.nan, math.inf, -math.inf}
+    for edge in SAMPLE_RATE_WINDOWS_HZ[task]:
+        rates |= {edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)}
+    return sorted(rates, key=repr)
+
+
+# (path, value) pairs; the empty path replaces the whole config.
+CONFIG_MUTATIONS = [
+    ((), []),
+    ((), "config"),
+    (("bogus",), 1),
+    (("counts", "XYZ"), [1, 0]),
+    (("snr_grids", "EI"), [0]),
+    (("sample_rates", "mr"), 1e6),
+    *(((name,), junk) for name in CorpusSpec.__dataclass_fields__ for junk in _JSON_JUNK),
+    *(
+        (path, junk)
+        for task in TASK_ORDER
+        for path in [("counts", task), ("counts", task, 0), ("sample_rates", task)]
+        for junk in _JSON_JUNK
+    ),
+    *((("snr_grids", "SSD"), junk) for junk in _JSON_JUNK),
+    *((("snr_grids", "SSD", 0), junk) for junk in _JSON_JUNK),
+    *((("counts", task, i), -1) for task in TASK_ORDER for i in (0, 1)),
+    (("counts", "AJSD", 1), 1),
+    *((("snr_grids", "SPE"), grid) for grid in
+      ([], [20, -20], [-30], [30], [math.nan], [math.inf], [-20, 0, 20])),
+    *((("sample_rates", task), rate)
+      for task in TASK_ORDER for rate in _rates_about_the_window(task)),
+    *((("stft_window",), w) for w in (0, 1, 2, 3, 48, 64, 100, 1024, 2048)),
+    *((("stft_hop",), h) for h in (0, 1, 3, 16, 17, 100, 256, 257)),
+    *((("image_size",), size) for size in (-1, 0, 15, 16, 17, 64)),
+    *((("ei_device_count",), count) for count in (3, 4, 16, 17)),
+    *((("bench_fraction",), f) for f in (0, 1, 0.5, -0.5, math.nan, math.inf)),
+    *((("per_bin_min",), m) for m in (-1, 0, 2)),
+    *((("split_salt",), salt) for salt in ("", "x")),
+    *((("global_seed",), seed) for seed in (-1, 0, 2**64)),
+]
+
+
+def _mutated(config, mutations):
+    """`config` with each (path, value) set in turn. A path that no longer
+    leads anywhere, because an earlier mutation replaced what it goes
+    through, is skipped."""
+    config = copy.deepcopy(config)
+    for path, value in mutations:
+        if not path:
+            config = copy.deepcopy(value)
+            continue
+        try:
+            parent = config
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(value)
+        except (TypeError, KeyError, IndexError):
+            pass
+    return config
+
+
+def _every_single_mutation(test):
+    """Run each mutation on its own as an explicit example, besides the drawn lists."""
+    for mutation in CONFIG_MUTATIONS:
+        test = example([mutation])(test)
+    return test
+
+
+class TestConfigMutations:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @_every_single_mutation
+    @given(st.lists(st.sampled_from(CONFIG_MUTATIONS), min_size=1, max_size=3))
+    def test_build_succeeds_or_exits_2_before_writing(self, tmp_path_factory, mutations):
+        # A config mistake exits 2 before --out exists; a runtime failure (1)
+        # of a config that validates is a window or check missing from src.
+        root = tmp_path_factory.mktemp("mutated")
+        config, out = root / "config.json", root / "out"
+        config.write_text(json.dumps(_mutated(TINY_CONFIG, mutations)))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["build", "--config", str(config), "--out", str(out)])
+        try:
+            assert code in (0, 2), stderr.getvalue()
+            if code == 2:
+                assert not out.exists()
+            else:
+                assert (out / "manifest_bench.jsonl").exists()
+        finally:
+            shutil.rmtree(root)

@@ -5,7 +5,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import math
 import os
 import pickle
 import re
@@ -588,20 +587,22 @@ class TestConfigValidation:
             spec.validate()
         assert err.value.field == "sample_rates"
 
-    @pytest.mark.parametrize("task", ["SSD", "SPE", "PR", "AJSD"])
+    @pytest.mark.parametrize("task", ["SSD", "SPE", "MR", "PR", "EI", "AJSD"])
     def test_sample_rate_window_edges_draw_whole_records(self, task):
         # Just inside each end of the window every draft has finite samples
-        # and, for the radar tasks, a pulse train that fits the record.
+        # and, for the radar tasks, a pulse train that fits the record. An
+        # open top end is probed at the largest float.
         lo, hi = corpus.SAMPLE_RATE_WINDOWS_HZ[task]
-        fmt = "MCQA" if task == "PR" else "OpenQA"
-        for rate in (lo * (1 + 1e-9), hi if math.isfinite(hi) else 4 * lo):
-            spec = CorpusSpec(global_seed=3)
+        fmt = "OpenQA" if task in ("SSD", "SPE", "AJSD") else "MCQA"
+        samples = builders.MR_SAMPLES if task == "MR" else builders.SEGMENT_SAMPLES
+        for rate in (lo * (1 + 1e-9), min(hi, sys.float_info.max)):
+            spec = CorpusSpec.default_desk(global_seed=3)
             spec.sample_rates[task] = rate
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 for index in range(24):
                     draft = builders.draft_record(task, index, fmt, spec)
-                    assert len(draft.signal) == builders.SEGMENT_SAMPLES
+                    assert len(draft.signal) == samples
                     # Every labelled jammer, centre and extent, stays inside the band.
                     for jammer in draft.ground_truth.get("jammers", ()):
                         reach = abs(jammer["center_offset_hz"])

@@ -14,6 +14,7 @@ import platform
 import random
 import re
 import sys
+import zlib
 
 import numpy as np
 
@@ -41,6 +42,19 @@ GOLDEN_CONFIG = {
 }
 
 PINNED_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6"}
+# PNG bytes also move with the deflate of the zlib linked at run time.
+PNG_PINNED_VERSIONS = PINNED_VERSIONS | {"zlib": "1.2.13"}
+
+
+def running_versions() -> dict:
+    """The running counterparts of PNG_PINNED_VERSIONS."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "zlib": zlib.ZLIB_RUNTIME_VERSION,
+    }
+
+
 PINNED_DIGESTS = {
     "images": "a4ca59ab72ad6b27ebf82cac643c70293620e3d2eb0c3ab31f8ee1f5292ed087",
     "manifest_train.jsonl": "8fd5a8d08f43f620ee68f37bd74935923ed503a739d65ae6cd34a08268bf3007",
@@ -80,9 +94,9 @@ def _check_golden(tmp_path, workers):
     spec = CorpusSpec.from_dict(GOLDEN_CONFIG)
     train, bench = build_corpus(spec, out_dir=str(out), workers=workers)
     assert len(train) + len(bench) == 11
-    running = {"python": platform.python_version(), "numpy": np.__version__}
     assert golden_digests(out) == PINNED_DIGESTS, (
-        f"golden build bytes changed; pinned with {PINNED_VERSIONS}, running {running}"
+        f"golden build bytes changed; pinned with {PNG_PINNED_VERSIONS}, "
+        f"running {running_versions()}"
     )
 
 

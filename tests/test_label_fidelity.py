@@ -32,15 +32,26 @@ def test_ajsd_tone_jammer_is_the_spectral_peak(rate):
     assert tones == 16
 
 
-@pytest.mark.parametrize("kind", ["multitone", "noise-band", "lfm-sweep", "phase-code"])
-def test_ajsd_jammer_power_lies_within_its_labelled_extent(kind):
+_EXTENT_KINDS = ["multitone", "noise-band", "lfm-sweep", "phase-code"]
+
+
+@pytest.mark.parametrize(
+    "kind, rate",
+    [pytest.param(kind, 20e6, id=kind) for kind in _EXTENT_KINDS]
+    + [
+        pytest.param(kind, AJSD_LOW_EDGE_HZ * (1 + 1e-9), id=f"{kind}-low-edge")
+        for kind in _EXTENT_KINDS
+    ],
+)
+def test_ajsd_jammer_power_lies_within_its_labelled_extent(kind, rate):
     # The weakest jammer is 5 dB over the whole background, so it holds over
     # three quarters of the record's power (a phase code's main lobe about
     # 90 % of its own). Under a Hann window a spectral line spreads 2 bins
     # each side, so the window about the labelled centre offset is the
-    # kind's half extent plus 2 bins.
+    # kind's half extent plus 2 bins. Just above the window floor the
+    # widest jammer, centred 5 MHz off, reaches the band edge.
     spec = CorpusSpec()
-    rate = spec.sample_rates["AJSD"]
+    spec.sample_rates["AJSD"] = rate
     step = len(builders.AJSD_ARCHETYPES)
     for index in range(builders.AJSD_ARCHETYPES.index((kind,)), 16 * step, step):
         draft = builders.draft_record("AJSD", index, "OpenQA", spec)

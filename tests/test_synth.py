@@ -3,11 +3,12 @@ protocol bursts, and jamming scenes against independent oracles."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from emforge.builders import EI_SPS, MR_SPS, SSD_COMM_SPS
+from emforge.builders import EI_SPS, MR_SPS, SEGMENT_SAMPLES, SSD_COMM_SPS
 from emforge.signal import IqSignal, measure_snr, signal_power
 from emforge.synth import (
     ANALOG_KINDS,
@@ -17,6 +18,7 @@ from emforge.synth import (
     JammingScene,
     Lfm,
     ModulationKind,
+    PROTOCOL_CLASSES,
     ProtocolBurstSpec,
     RadarPulseSpec,
     apply_awgn,
@@ -300,6 +302,22 @@ class TestProtocol:
         spec = ProtocolBurstSpec("wlan-like", 2e6, 16, None, 0.0, 96)
         sig = gen_protocol_burst(spec, 50.0, 10e6, seed=1)
         assert np.allclose(np.abs(sig.samples), 1.0)  # unit on-support envelope
+
+    @pytest.mark.parametrize("protocol_class", PROTOCOL_CLASSES)
+    def test_burst_memory_does_not_grow_with_the_sample_rate(self, protocol_class):
+        # One record at 2 GS/s holds 64 KiB of samples, while a whole burst
+        # at that rate runs to megabytes: only the samples that fit are made.
+        fs = 2e9
+        tracemalloc.start()
+        try:
+            sig = gen_protocol_burst(
+                default_burst_spec(protocol_class), SEGMENT_SAMPLES / fs * 1e6, fs, seed=0
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sig) == SEGMENT_SAMPLES
+        assert peak < 2**20
 
     def test_burst_determinism(self):
         spec = default_burst_spec("wpan-like")
