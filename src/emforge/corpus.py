@@ -333,6 +333,16 @@ _FIELD_READERS = {name: _reader(kind) for name, kind in get_type_hints(CorpusSpe
 }
 
 
+def _is_finite_number(x) -> bool:
+    """Whether a JSON value is a number that is finite as a float; a bool is not a number here."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(slots=True)
 class ManifestRecord:
     """One manifest line; see docs/manifest_schema.md for the fields.
@@ -364,10 +374,7 @@ class ManifestRecord:
         for name in ("sample_id", "question", "answer", "content_hash"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
-        snr = self.snr_db
-        if snr is not None and not (
-            isinstance(snr, (int, float)) and not isinstance(snr, bool) and math.isfinite(snr)
-        ):
+        if self.snr_db is not None and not _is_finite_number(self.snr_db):
             raise ValueError("snr_db must be a finite number or null")
         paths = _STORED_VIEW_PATHS.__get__(self)
         if paths is not _CANONICAL:
@@ -398,10 +405,11 @@ class ManifestRecord:
             raise ValueError("tagged OpenQA answers must be tag-wrapped")
         if not isinstance(self.ground_truth, dict):
             raise ValueError("ground_truth must be an object")
-        if self.task == "SPE" and not all(
-            isinstance(self.ground_truth.get(key), (int, float)) for key in ("value", "tolerance")
-        ):
-            raise ValueError("SPE ground_truth needs a numeric 'value' and 'tolerance'")
+        if self.task == "SPE":
+            value, tolerance = self.ground_truth.get("value"), self.ground_truth.get("tolerance")
+            if not (_is_finite_number(value) and _is_finite_number(tolerance) and tolerance >= 0):
+                raise ValueError("SPE ground_truth needs a numeric 'value' and 'tolerance', "
+                                 "both finite, the tolerance not negative")
         if self.split not in ("train", "bench"):
             raise ValueError("split must be 'train' or 'bench'")
 

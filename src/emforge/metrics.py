@@ -35,12 +35,24 @@ index order, and its entries are laid out in that order), logs, exps
 and square roots are scalar `math` calls, and corpus means are sums of
 per-item lists in record order, so a score does not depend on which
 caller computed it.
+
+Pass 2 runs on two processes when `os.fork` exists, more than one CPU is
+usable, no second thread is alive (forking a threaded process can
+deadlock the child), and at least two reference groups hold at least
+2 * _CHUNK_TOKENS of estimated work: a forked child scores the groups
+past the point where the running work estimate passes half, and pipes
+its tuples back. No byte depends on the split, because a pair's floats
+depend only on the references, the n-gram tables and the pair's own
+tokens (see `_text_scores`). The one-pair calls never fork.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -393,6 +405,75 @@ def cider(candidates: list[str], references: list[str]) -> tuple[list[float], fl
     return per_item, sum(per_item) / n_docs
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_fork(n_groups: int, work: int) -> bool:
+    """Whether pass 2 is worth a second process and safe to fork for.
+
+    Forking a process with a second thread alive can deadlock the child.
+    """
+    return (
+        n_groups >= 2
+        and work >= 2 * _CHUNK_TOKENS
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and _usable_cpus() > 1
+    )
+
+
+def _forked_split(scored, cut: int, n_groups: int) -> list:
+    """scored(0, cut) + scored(cut, n_groups), the second part scored by a forked child.
+
+    The child sends its list, or its error text, back over a pipe with
+    pickle and always leaves through os._exit, so it never flushes
+    inherited stdio or runs exit handlers. The parent scores the first
+    part meanwhile. On any exit the parent kills the child if it may
+    still be running and reaps it.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = True, scored(cut, n_groups)
+            except BaseException as exc:
+                result = False, f"{type(exc).__name__}: {exc}"
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            head = scored(0, cut)
+            sent = pipe.read()
+    except BaseException:
+        import signal  # only a failed split needs it
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status or not sent:
+        raise RuntimeError("the scoring child process exited without a result")
+    ok, tail = pickle.loads(sent)
+    if not ok:
+        raise RuntimeError(f"the scoring child process failed: {tail}")
+    return head + tail
+
+
 def _text_scores(references: list[str], candidates: list[str]) -> list[tuple]:
     """(bleu4, rouge_l, meteor, cider) per (reference, candidate) pair, in order.
 
@@ -402,6 +483,15 @@ def _text_scores(references: list[str], candidates: list[str]) -> list[tuple]:
     Pass 2 interns and scores the distinct pairs reference group by
     reference group: ROUGE-L and METEOR per pair, BLEU4 and CIDEr per
     chunk of whole groups. CIDEr is None below two items.
+
+    Pass 2 runs on two processes where `_can_fork` allows: the groups are
+    cut where the running work estimate, reference tokens times (1 +
+    distinct candidates) per group, passes half, and a forked child
+    scores the second part. No byte depends on the split. A pair's floats
+    depend only on the references, the tables and the pair's own tokens;
+    candidate tokens the references lack act only through equality (their
+    n-grams take the trailing IDF, and `_distinct` orders by position, not
+    by code), and chunk boundaries enter no per-item sum.
     """
     if not references:
         return []
@@ -414,24 +504,38 @@ def _text_scores(references: list[str], candidates: list[str]) -> list[tuple]:
     uses = [sum(map(len, group.values())) for group in groups.values()]
     tables = _NgramTables(refs, uses, n_docs, len(vocab.ids))
     stem = vocab.stem_of.__getitem__
+    cand_texts = [list(group) for group in groups.values()]
 
-    def scored_groups():
-        # Per reference: its tokens, its candidates' tokens and their (ROUGE-L, METEOR, items).
-        for ref, group in zip(refs, groups.values()):
-            exact = _free_positions(ref)
-            cands = [vocab.intern(text) for text in group]
-            rows = [(_rouge_l(cand, ref), _meteor(cand, ref, stem, exact), items)
-                    for cand, items in zip(cands, group.values())]
-            yield ref, cands, rows
+    def scored(lo: int, hi: int) -> list[tuple]:
+        """The score tuple of each distinct pair of reference groups lo..hi-1, in order."""
 
+        def scored_groups():
+            # Per reference: its tokens, its candidates' tokens and their (ROUGE-L, METEOR).
+            for ref, texts in zip(refs[lo:hi], cand_texts[lo:hi]):
+                exact = _free_positions(ref)
+                cands = [vocab.intern(text) for text in texts]
+                yield ref, cands, [(_rouge_l(cand, ref), _meteor(cand, ref, stem, exact))
+                                   for cand in cands]
+
+        out = []
+        for chunk in _chunks(scored_groups(), lambda g: len(g[0]) + sum(map(len, g[1]))):
+            bleu_cider = tables.score([(ref, cands) for ref, cands, _ in chunk], len(vocab.ids))
+            rows = chain.from_iterable(rows for _, _, rows in chunk)
+            out += [(bleu, rouge, met, cider_score if n_docs >= 2 else None)
+                    for (rouge, met), (bleu, cider_score) in zip(rows, bleu_cider)]
+        return out
+
+    work = np.cumsum([len(ref) * (1 + len(texts)) for ref, texts in zip(refs, cand_texts)])
+    if _can_fork(len(refs), int(work[-1])):
+        cut = min(int(np.searchsorted(work, work[-1] / 2)) + 1, len(refs) - 1)
+        pairs = _forked_split(scored, cut, len(refs))
+    else:
+        pairs = scored(0, len(refs))
     scores: list = [None] * n_docs
-    for chunk in _chunks(scored_groups(), lambda g: len(g[0]) + sum(map(len, g[1]))):
-        bleu_cider = tables.score([(ref, cands) for ref, cands, _ in chunk], len(vocab.ids))
-        rows = chain.from_iterable(rows for _, _, rows in chunk)
-        for (rouge, met, items), (bleu, cider_score) in zip(rows, bleu_cider):
-            scored = (bleu, rouge, met, cider_score if n_docs >= 2 else None)
-            for i in items:
-                scores[i] = scored
+    items = chain.from_iterable(group.values() for group in groups.values())
+    for pair_items, scored_pair in zip(items, pairs, strict=True):
+        for i in pair_items:
+            scores[i] = scored_pair
     return scores
 
 

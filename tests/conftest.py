@@ -45,3 +45,21 @@ def no_encoder_thread_left():
     alive = [t.name for t in threading.enumerate() if t.name.startswith(ENCODER_THREAD_PREFIX)]
     if alive:
         pytest.fail(f"encoder threads still alive after the test: {alive}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process running or unreaped.
+
+    The AJSD scorer forks one child per call and reaps it on every exit,
+    and a build's worker processes are joined before it returns.
+    """
+    yield
+    if not hasattr(os, "fork"):  # no POSIX children to wait for
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("a child process was left unreaped after the test" if pid else
+                "a child process was still running after the test")

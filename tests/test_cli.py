@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emforge
+from emforge import metrics
 from emforge.cli import _load_spec, _parser, main
 from emforge.corpus import (
     SAMPLE_RATE_WINDOWS_HZ,
@@ -27,6 +28,7 @@ from emforge.corpus import (
     CorpusSpec,
     DEFAULT_SAMPLE_RATES,
     DEFAULT_SNR_GRIDS,
+    build_corpus,
     gold_prediction,
     read_manifest,
 )
@@ -84,6 +86,14 @@ SPE_RECORD = {
     "ground_truth": {},
 }
 
+# SPE ground truths that scoring cannot use: each makes a manifest line malformed.
+SPE_BAD_GROUND_TRUTHS = {
+    "spe-bool-value-and-tolerance": {"value": True, "tolerance": True},
+    "spe-nan-value": {"value": float("nan"), "tolerance": 1.0},
+    "spe-infinite-tolerance": {"value": 2.5, "tolerance": float("inf")},
+    "spe-negative-tolerance": {"value": 2.5, "tolerance": -1.0},
+    "spe-int-value-past-float": {"value": 10**400, "tolerance": 1.0},
+}
 
 # The exact stdout of `emforge build` on SMALL_CONFIG, pinned across commits.
 BUILD_STDOUT = """\
@@ -414,7 +424,13 @@ class TestScore:
             (json.dumps({**MANIFEST_RECORD, "format": "Essay"}), "unknown format 'Essay'"),
             (json.dumps(MANIFEST_RECORD), "duplicate sample_id 'mr-00000'"),
             (json.dumps(SPE_RECORD), "SPE ground_truth needs a numeric 'value' and 'tolerance'"),
+            *[
+                (json.dumps({**SPE_RECORD, "ground_truth": ground_truth}),
+                 "SPE ground_truth needs a numeric 'value' and 'tolerance', both finite")
+                for ground_truth in SPE_BAD_GROUND_TRUTHS.values()
+            ],
             (json.dumps({**MANIFEST_RECORD, "snr_db": "high"}), "snr_db must be a finite number"),
+            (json.dumps({**MANIFEST_RECORD, "snr_db": 10**400}), "snr_db must be a finite number"),
             (json.dumps({**MANIFEST_RECORD, "snr_db": float("nan")}),
              "snr_db must be a finite number"),
             (json.dumps({**MANIFEST_RECORD, "view_paths": "abcd"}),
@@ -435,7 +451,8 @@ class TestScore:
         ],
         ids=[
             "bad-json", "missing-fields", "unknown-task", "unknown-format", "duplicate-id",
-            "spe-no-value", "snr-string", "snr-nan", "view-paths-string", "view-path-number",
+            "spe-no-value", *SPE_BAD_GROUND_TRUTHS, "snr-string", "snr-int-past-float", "snr-nan",
+            "view-paths-string", "view-path-number",
             "options-string", "sample-id-number", "question-list", "answer-number",
             "content-hash-null", "mcqa-mode-tag", "openqa-answer-tag",
         ],
@@ -539,6 +556,44 @@ class TestScore:
         capsys.readouterr()
         assert main(["report", "--report", str(report_path)]) == 0
         assert "unparseable predictions" in capsys.readouterr().out
+
+
+def test_score_outputs_do_not_depend_on_the_forked_split(tmp_path, monkeypatch, capsys):
+    # A plan-built train manifest with enough AJSD free text for pass 2 to fork.
+    from test_golden import mixed_predictions
+
+    build_corpus(CorpusSpec.from_total(846, global_seed=5), tmp_path / "corpus", render=False)
+    manifest = tmp_path / "corpus" / "manifest_train.jsonl"
+    records = read_manifest(manifest)
+    preds = tmp_path / "preds.jsonl"
+    with open(preds, "w") as fh:
+        for sample_id, text in mixed_predictions(records, seed=5).items():
+            fh.write(json.dumps({"sample_id": sample_id, "text": text}) + "\n")
+    monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    outputs = {}
+    for mode in ("forked", "in-process"):
+        with monkeypatch.context() as m:
+            if mode == "forked":
+                m.setattr(os, "fork", counting_fork)
+            else:
+                m.delattr(os, "fork")
+            capsys.readouterr()
+            argv = ["score", "--manifest", manifest, "--predictions", preds]
+            for flag in ("report", "csv", "per-record"):
+                argv += [f"--{flag}", tmp_path / f"{mode}.{flag}"]
+            assert main([str(arg) for arg in argv]) == 0
+        outputs[mode] = [capsys.readouterr().out] + [
+            (tmp_path / f"{mode}.{flag}").read_bytes() for flag in ("report", "csv", "per-record")
+        ]
+    assert forks == [os.getpid()]
+    assert outputs["forked"] == outputs["in-process"]
+    assert b'"bleu4"' in outputs["forked"][3]
 
 
 class TestUnreadableInput:

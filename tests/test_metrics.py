@@ -9,6 +9,8 @@ grouped by reference that replaced them.
 
 import json
 import math
+import os
+import threading
 from collections import Counter
 from itertools import product
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emforge import metrics
 from emforge.corpus import CorpusSpec, ManifestRecord, build_corpus
 from emforge.instrgen import TagKind
 from emforge.metrics import (
@@ -558,6 +561,137 @@ class TestGroupedTextScores:
         ajsd = [r for r in records if r.task == "AJSD"]
         assert len(ajsd) == 200 and len({r.answer for r in ajsd}) < len(ajsd)
         self._check([r.answer for r in ajsd], [predictions.get(r.sample_id, "") for r in ajsd])
+
+
+def _split_work(references, candidates) -> int:
+    """The work estimate `_text_scores` weighs a fork against."""
+    groups: dict = {}
+    for ref, cand in zip(references, candidates):
+        groups.setdefault(ref, set()).add(cand)
+    return sum(len(tokenize(ref)) * (1 + len(cands)) for ref, cands in groups.items())
+
+
+def _repeated_pair_corpus():
+    rng = np.random.default_rng(37)
+    pool = [_random_sentence(rng, 40, _STEM_WORDS) for _ in range(400)]
+    refs = [pool[i] for i in rng.integers(0, len(pool), 900)]
+    return refs, [_candidate(rng, ref, _STEM_WORDS) for ref in refs]
+
+
+def _all_distinct_corpus():
+    rng = np.random.default_rng(38)
+    refs = [f"{_random_sentence(rng, 30)} ref{i}" for i in range(400)]
+    return refs, [_candidate(rng, ref, _WORDS) + f" cand{i}" for i, ref in enumerate(refs)]
+
+
+class TestForkedSplit:
+    """Pass 2 split across a forked child gives the in-process tuples, with ==."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # Fork on any machine: the split's bytes must not depend on the CPU count.
+        monkeypatch.setattr(metrics, "_usable_cpus", lambda: 2)
+
+    @staticmethod
+    def _counted_forks(monkeypatch) -> list:
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+
+    @staticmethod
+    def _no_fork(monkeypatch):
+        def refuse():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", refuse)
+
+    @pytest.mark.parametrize("corpus", [_repeated_pair_corpus, _all_distinct_corpus],
+                             ids=["repeated-pairs", "all-distinct"])
+    def test_forked_equals_in_process(self, monkeypatch, corpus):
+        refs, cands = corpus()
+        assert _split_work(refs, cands) >= 2 * _CHUNK_TOKENS
+        with monkeypatch.context() as m:
+            forks = self._counted_forks(m)
+            forked = _text_scores(refs, cands)
+        assert forks == [os.getpid()]
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            in_process = _text_scores(refs, cands)
+        assert forked == in_process
+        if corpus is _repeated_pair_corpus:
+            assert len(set(zip(refs, cands))) < len(refs)
+
+    def test_forked_equals_the_streaming_oracle(self, monkeypatch):
+        refs, cands = _all_distinct_corpus()
+        forks = self._counted_forks(monkeypatch)
+        assert _text_scores(refs, cands) == list(oracle_text_scores(refs, cands))
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("failure,message", [
+        ("child", "the scoring child process failed: ValueError: poisoned candidate"),
+        ("child-exits", "the scoring child process exited without a result"),
+        ("parent", "poisoned candidate"),
+    ])
+    def test_a_failing_kernel_raises_and_leaves_no_child(self, monkeypatch, failure, message):
+        refs, cands = _repeated_pair_corpus()
+        # The last reference group always goes to the child, the first to the parent.
+        at = 0 if failure == "parent" else len(refs)
+        refs.insert(at, "a reference no other item has")
+        cands.insert(at, " ".join(["zulu"] * 97))
+        rouge = metrics._rouge_l
+
+        def poisoned(cand, ref):
+            if len(cand) == 97:
+                if failure == "child-exits":
+                    os._exit(3)
+                raise ValueError("poisoned candidate")
+            return rouge(cand, ref)
+
+        monkeypatch.setattr(metrics, "_rouge_l", poisoned)
+        forks = self._counted_forks(monkeypatch)
+        with pytest.raises(ValueError if failure == "parent" else RuntimeError) as raised:
+            _text_scores(refs, cands)
+        assert str(raised.value) == message
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_for_one_pair(self, monkeypatch):
+        self._no_fork(monkeypatch)
+        long_text = " ".join(f"w{i}" for i in range(3 * _CHUNK_TOKENS))
+        assert bleu4(long_text, long_text) == 1.0
+        assert rouge_l("alpha bravo", "alpha bravo charlie") > 0.0
+        assert meteor(long_text, long_text) > 0.99
+        # One reference group never forks, however much work it holds.
+        assert len(_text_scores([long_text] * 3, [long_text, "w1", "w2"])) == 3
+
+    def test_no_fork_below_the_threshold(self, monkeypatch):
+        refs, cands = _all_distinct_corpus()
+        while _split_work(refs, cands) >= 2 * _CHUNK_TOKENS:
+            refs, cands = refs[:-10], cands[:-10]
+        assert len(refs) > 100
+        self._no_fork(monkeypatch)
+        assert _text_scores(refs, cands) == list(oracle_text_scores(refs, cands))
+
+    def test_no_fork_with_a_second_thread_alive(self, monkeypatch):
+        refs, cands = _repeated_pair_corpus()
+        expected = _text_scores(refs, cands)
+        self._no_fork(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert _text_scores(refs, cands) == expected
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestComposites:
