@@ -15,14 +15,7 @@ from collections import Counter
 
 from . import budget as budget_mod
 from . import metrics
-from .corpus import (
-    ConfigError,
-    CorpusSpec,
-    build_corpus,
-    build_record,
-    desk_scale_counts,
-    read_manifest,
-)
+from .manifest import ConfigError, read_manifest
 
 ENV_OUT_DIR = "EMFORGE_OUT"
 
@@ -31,14 +24,17 @@ def _default_out() -> str:
     return os.environ.get(ENV_OUT_DIR, "emforge-out")
 
 
-def _load_spec(args) -> CorpusSpec:
+def _load_spec(args):
+    """The CorpusSpec that build's or render's flags name; only these two import corpus."""
+    from .corpus import CorpusSpec, desk_scale_counts
+
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError("config", str(exc)) from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("config", f"{args.config}: malformed JSON ({exc})") from exc
         spec = CorpusSpec.from_dict(data)
     else:
@@ -51,6 +47,8 @@ def _load_spec(args) -> CorpusSpec:
 
 
 def cmd_build(args) -> int:
+    from .corpus import build_corpus
+
     spec = _load_spec(args)
     out_dir = args.out or _default_out()
     _check_out_dir(out_dir)
@@ -73,6 +71,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .corpus import build_record
+
     spec = _load_spec(args)
     out_dir = args.out or _default_out()
     _check_out_dir(out_dir)
@@ -146,7 +146,7 @@ def cmd_report(args) -> int:
         csv_text = metrics.snr_tables_csv(report) if args.csv else None
     except OSError as exc:
         raise ConfigError("report", str(exc)) from exc
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
         raise ConfigError("report", f"{args.report}: malformed report ({exc})") from exc
     print(table)
     if args.csv:

@@ -13,28 +13,16 @@ one clause per jammer in that kind order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from .manifest import OPTION_LETTERS, TASK_TAGS, UNABLE_TO_ANSWER, TagKind
 from .synth import JAMMER_KINDS
 
-UNABLE_TO_ANSWER = "Unable to answer"
-OPTION_LETTERS = ("A", "B", "C", "D", "E")
 MAX_DISTRACTOR_ATTEMPTS = 200
 DISTRACTOR_FACTORS = (0.5, 2.0, 3.0)
 DISTRACTOR_OFFSETS = (-10.0, -5.0, 5.0, 10.0)
 DISTRACTOR_RANGE = (0.2, 5.0)  # relative to the ground truth
-
-
-class TagKind(str, Enum):
-    ANSWER = "answer"
-    MODE = "mode"
-    VALUE = "value"
-    SEGMENT = "segment"
-    PROTOCOL = "protocol"
-    DEVICE = "device"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -212,16 +200,6 @@ MCQA_INSTRUCTIONS = (
     "Pick one option; respond with nothing but <answer>letter</answer>.",
     "Select the best option and answer only with <answer>letter</answer>.",
 )
-
-TASK_TAGS = {
-    "SSD": TagKind.SEGMENT,
-    "SPE": TagKind.VALUE,
-    "MR": TagKind.MODE,
-    "PR": TagKind.PROTOCOL,
-    "EI": TagKind.DEVICE,
-    "AJSD": TagKind.NONE,
-}
-
 
 def _pick(variants, seed: int) -> str:
     return variants[int(np.random.default_rng(seed).integers(len(variants)))]

@@ -60,8 +60,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .corpus import ANSWER_TAGS, FORMATS, read_jsonl
-from .instrgen import TagKind
+from .manifest import ANSWER_TAGS, FORMATS, TAG_PATTERNS, TagKind, read_jsonl
 
 BLEU_EPSILON = 1e-9
 ROUGE_BETA = 1.2
@@ -552,19 +551,11 @@ def ajsd_composite(b: float, r: float, m: float, c: float) -> float:
     return mean_of_four(b, r, m, c) * 100.0
 
 
-# Each tag's pattern for its first <tag>...</tag> payload, across lines.
-_TAG_PAYLOADS = {
-    tag: re.compile(rf"<{tag.value}>(.*?)</{tag.value}>", re.DOTALL)
-    for tag in TagKind
-    if tag is not TagKind.NONE
-}
-
-
 def parse_tag(text: str, tag: TagKind) -> str | None:
     """First well-formed <tag>...</tag> payload, trimmed; None if absent."""
     if tag is TagKind.NONE:
         return text.strip() or None
-    match = _TAG_PAYLOADS[tag].search(text)
+    match = TAG_PATTERNS[tag].search(text)
     return match.group(1).strip() if match else None
 
 

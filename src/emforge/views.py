@@ -16,11 +16,11 @@ into a (size, size, 3) uint8 RGB array, the package's public view API.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .manifest import ViewKind
 from .raster import (
     WHITE,
     bucket_minmax,
@@ -57,16 +57,6 @@ _WAVEFORM_PALETTE = _palette((WHITE, WAVEFORM_I_COLOR, WAVEFORM_Q_COLOR, ENVELOP
 # A rendered view: its (size, size) label image and the (n, 3) uint8 palette
 # that colors it.
 Rendered = tuple[np.ndarray, np.ndarray]
-
-
-class ViewKind(str, Enum):
-    CONSTELLATION = "constellation"
-    FFT_SPECTRUM = "fft_spectrum"
-    STFT_SPECTROGRAM = "stft_spectrogram"
-    IQ_WAVEFORM = "iq_waveform"
-
-
-VIEW_ORDER = tuple(ViewKind)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,9 @@ import numpy as np
 import pytest
 
 from emforge.budget import RESERVED_PROMPT_TOKENS, STAGES, check_budget, pack_views
-from emforge.corpus import (
-    CorpusSpec,
-    build_corpus,
-    desk_scale_counts,
-    gold_prediction,
-    read_manifest,
-)
-from emforge.instrgen import OPTION_LETTERS, UNABLE_TO_ANSWER, canonical_number
-from emforge.instrgen import make_mcqa_categorical, make_mcqa_numeric
+from emforge.corpus import CorpusSpec, build_corpus, desk_scale_counts
+from emforge.instrgen import canonical_number, make_mcqa_categorical, make_mcqa_numeric
+from emforge.manifest import OPTION_LETTERS, UNABLE_TO_ANSWER, gold_prediction, read_manifest
 from emforge.metrics import (
     METEOR_BETA,
     METEOR_GAMMA,

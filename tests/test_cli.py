@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import emforge
@@ -29,10 +29,9 @@ from emforge.corpus import (
     DEFAULT_SAMPLE_RATES,
     DEFAULT_SNR_GRIDS,
     build_corpus,
-    gold_prediction,
-    read_manifest,
 )
-from emforge.metrics import TEXT_METRICS, ScoreReport
+from emforge.manifest import ConfigError, gold_prediction, read_manifest
+from emforge.metrics import METEOR_BETA, METEOR_GAMMA, TEXT_METRICS, ScoreReport
 
 SMALL_CONFIG = {
     "counts": {
@@ -508,20 +507,10 @@ class TestScore:
         report = json.loads(outputs["with"][1])
         rows = [json.loads(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
         assert [row["sample_id"] for row in rows] == [r.sample_id for r in records]
-        assert sum(not row["parseable"] for row in rows) == report["unparseable"] > 0
-        for task, stats in report["per_task"].items():
-            for fmt in ("MCQA", "OpenQA"):
-                cell = [row["correct"] for row in rows
-                        if row["task"] == task and row["format"] == fmt]
-                assert len(cell) == stats.get(f"{fmt.lower()}_count", 0)
-                if cell:
-                    accuracy = round(100.0 * sum(cell) / len(cell), 4)
-                    assert accuracy == stats[f"{fmt.lower()}_accuracy_pct"]
+        assert _folded(rows) == report
+        assert report["unparseable"] > 0
         ajsd = [row for row in rows if row["task"] == "AJSD"]
-        assert len(ajsd) == report["ajsd"]["count"] >= 2
-        for name in TEXT_METRICS:
-            mean = sum(row[name] for row in ajsd) / len(ajsd)
-            assert round(mean, 6) == report["ajsd"][name]
+        assert len(ajsd) >= 2
         assert all("correct" not in row for row in ajsd)
         assert all(set(row) == {"sample_id", "task", "format", "snr_db", "parseable", "correct"}
                    for row in rows if row["task"] != "AJSD")
@@ -596,6 +585,24 @@ def test_score_outputs_do_not_depend_on_the_forked_split(tmp_path, monkeypatch, 
     assert b'"bleu4"' in outputs["forked"][3]
 
 
+def _input_argv(tmp_path, flag: str, bad) -> list[str]:
+    """argv of a command that reads `bad` as its `flag` input, its other inputs
+    well formed, writing to tmp_path/o."""
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps(MANIFEST_RECORD) + "\n")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("")
+    out = tmp_path / "o"
+    argv = {
+        "config": ["build", "--config", bad, "--out", out],
+        "manifest": ["score", "--manifest", bad, "--predictions", preds, "--report", out],
+        "predictions": ["score", "--manifest", manifest, "--predictions", bad,
+                        "--report", out],
+        "report": ["report", "--report", bad, "--csv", out],
+    }[flag]
+    return [str(arg) for arg in argv]
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     @pytest.mark.parametrize("flag", ["config", "manifest", "predictions", "report"])
@@ -604,22 +611,42 @@ class TestUnreadableInput:
         bad = tmp_path / kind
         if kind == "directory":
             bad.mkdir()
-        manifest = tmp_path / "manifest.jsonl"
-        manifest.write_text(json.dumps(MANIFEST_RECORD) + "\n")
-        preds = tmp_path / "preds.jsonl"
-        preds.write_text("")
-        out = tmp_path / "o"
-        argv = {
-            "config": ["build", "--config", bad, "--out", out],
-            "manifest": ["score", "--manifest", bad, "--predictions", preds, "--report", out],
-            "predictions": ["score", "--manifest", manifest, "--predictions", bad,
-                            "--report", out],
-            "report": ["report", "--report", bad, "--csv", out],
-        }[flag]
-        assert main([str(arg) for arg in argv]) == 2
+        assert main(_input_argv(tmp_path, flag, bad)) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
-        assert not out.exists()
+        assert not (tmp_path / "o").exists()
 
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("flag", ["config", "manifest", "predictions", "report"])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, flag):
+        # JSON nested past the recursion limit is malformed input, not a runtime failure.
+        bad = tmp_path / f"bad-{flag}"
+        bad.write_text("[" * 200_000 + "\n")
+        assert main(_input_argv(tmp_path, flag, bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and "recursion" in err
+        assert {
+            "config": f"{bad}: malformed JSON",
+            "manifest": f"{bad}:1: malformed manifest line",
+            "predictions": f"{bad}:1: malformed prediction line",
+            "report": f"{bad}: malformed report",
+        }[flag] in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["manifest", "predictions"])
+    def test_invalid_utf8_line_is_named(self, tmp_path, capsys, flag):
+        # Line 1 is well formed and not ASCII; line 2 holds a byte UTF-8 never uses.
+        good = {
+            "manifest": {**MANIFEST_RECORD, "question": "Quelle modulation ? \u00b5s \u2713"},
+            "predictions": {"sample_id": "mr-00000", "text": "<answer>B</answer> \u2713"},
+        }[flag]
+        bad = tmp_path / f"bad-{flag}"
+        bad.write_bytes(json.dumps(good, ensure_ascii=False).encode() + b'\n{"sample_id": "\xff"}\n')
+        assert main(_input_argv(tmp_path, flag, bad)) == 2
+        kind = flag.removesuffix("s")
+        assert (f"error: {flag}: {bad}:2: malformed {kind} line ('utf-8' codec can't decode "
+                "byte 0xff in position 15") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestUnwritableOutput:
@@ -924,3 +951,107 @@ class TestConfigMutations:
                 assert (out / "manifest_bench.jsonl").exists()
         finally:
             shutil.rmtree(root)
+
+
+def _grid_subset(task):
+    return st.lists(st.sampled_from(DEFAULT_SNR_GRIDS[task]), min_size=1, max_size=3,
+                    unique=True).map(sorted)
+
+
+# Small specs over every task cell; a drawn spec that does not validate is rejected.
+PLAN_SPECS = st.builds(
+    CorpusSpec,
+    global_seed=st.integers(-2**31, 2**31),
+    counts=st.fixed_dictionaries({
+        task: st.tuples(st.integers(0, 4), st.just(0) if task == "AJSD" else st.integers(0, 4))
+        for task in TASK_ORDER
+    }),
+    snr_grids=st.fixed_dictionaries({task: _grid_subset(task) for task in DEFAULT_SNR_GRIDS}),
+    bench_fraction=st.floats(0.05, 0.95),
+    split_salt=st.text(min_size=1, max_size=6),
+    per_bin_min=st.integers(0, 1),
+    ei_device_count=st.integers(4, 16),
+)
+
+
+def _folded(rows) -> dict:
+    """The report JSON that `--per-record` rows fold to."""
+    tagged = [row for row in rows if row["task"] != "AJSD"]
+    per_task, snr_tables = {}, {}
+    for task in sorted({row["task"] for row in tagged}):
+        stats = per_task.setdefault(task, {})
+        for fmt in ("MCQA", "OpenQA"):
+            cell = [row["correct"] for row in tagged if (row["task"], row["format"]) == (task, fmt)]
+            if cell:
+                stats[f"{fmt.lower()}_accuracy_pct"] = round(100.0 * sum(cell) / len(cell), 4)
+                stats[f"{fmt.lower()}_count"] = len(cell)
+        bins = {}
+        for row in tagged:
+            if row["task"] == task and row["snr_db"] is not None:
+                bins.setdefault(row["snr_db"], []).append(row["correct"])
+        if bins:
+            snr_tables[task] = [
+                {"snr_db": snr, "count": len(bins[snr]),
+                 "accuracy_pct": round(100.0 * sum(bins[snr]) / len(bins[snr]), 4)}
+                for snr in sorted(bins)
+            ]
+    ajsd = [row for row in rows if row["task"] == "AJSD"]
+    summary = None
+    if ajsd:
+        means = [None if len(ajsd) < 2 and name == "cider" else
+                 sum(row[name] for row in ajsd) / len(ajsd) for name in TEXT_METRICS]
+        summary = {name: None if mean is None else round(mean, 6)
+                   for name, mean in zip(TEXT_METRICS, means)}
+        summary["composite"] = None if None in means else round(metrics.ajsd_composite(*means), 4)
+        summary["count"] = len(ajsd)
+    return {"per_task": per_task, "ajsd": summary, "snr_tables": snr_tables,
+            "unparseable": sum(not row["parseable"] for row in rows), "total": len(rows)}
+
+
+class TestPlanBuildRoundTrip:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(PLAN_SPECS)
+    def test_manifests_read_back_and_gold_scores_full_marks(self, tmp_path_factory, spec):
+        try:
+            spec.validate()
+        except ConfigError:
+            reject()
+        root = tmp_path_factory.mktemp("roundtrip")
+        try:
+            built = build_corpus(spec, str(root / "out"), render=False)
+            for split, records in zip(("train", "bench"), built):
+                manifest = root / "out" / f"manifest_{split}.jsonl"
+                assert read_manifest(manifest) == records
+                self._assert_gold_scores(root / split, manifest, records)
+        finally:
+            shutil.rmtree(root)
+
+    def _assert_gold_scores(self, root, manifest, records):
+        root.mkdir()
+        preds, report_path, rows_path = root / "gold.jsonl", root / "r.json", root / "rows.jsonl"
+        preds.write_text("".join(
+            json.dumps({"sample_id": r.sample_id, "text": gold_prediction(r)}) + "\n"
+            for r in records))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["score", "--manifest", str(manifest), "--predictions", str(preds),
+                         "--report", str(report_path), "--per-record", str(rows_path)]) == 0
+        report = json.loads(report_path.read_text())
+        rows = [json.loads(line) for line in rows_path.read_text().splitlines()]
+        assert [row["sample_id"] for row in rows] == [r.sample_id for r in records]
+        assert _folded(rows) == report
+        assert report["unparseable"] == 0
+        assert all(row["correct"] for row in rows if row["task"] != "AJSD")
+        ajsd = [r.answer for r in records if r.task == "AJSD"]
+        for answer, row in zip(ajsd, (row for row in rows if row["task"] == "AJSD")):
+            # METEOR's fragmentation penalty stays on a one-chunk exact match.
+            m = len(metrics.tokenize(answer))
+            assert (row["bleu4"], row["rouge_l"]) == (1.0, 1.0)
+            assert row["meteor"] == 1 - METEOR_GAMMA * (1 / m) ** METEOR_BETA
+            if len(ajsd) < 2:
+                assert row["cider"] is None
+            elif len(set(ajsd)) == 1:
+                assert row["cider"] == 0.0  # every n-gram is in every reference: IDF 0
+            else:
+                assert abs(row["cider"] - 1.0) < 1e-9
+        if len(set(ajsd)) > 1:
+            assert report["ajsd"]["composite"] >= 99.99

@@ -19,26 +19,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emforge import builders, corpus, png, raster, views
+from emforge import builders, corpus, manifest, png, raster, views
 from emforge.corpus import (
     ENCODER_THREAD_PREFIX,
-    ConfigError,
     CorpusSpec,
-    ManifestRecord,
     RecordError,
     BENCH_COMPOSITION,
     BENCH_COMPOSITION_TOTAL,
     assign_split,
     build_corpus,
     desk_scale_counts,
-    gold_prediction,
-    read_manifest,
     stratified_bench,
     task_format_split,
+)
+from emforge.manifest import (
+    VIEW_ORDER,
+    ConfigError,
+    ManifestRecord,
+    ViewKind,
+    gold_prediction,
+    read_manifest,
     write_manifest,
 )
 from emforge.synth import jamming
-from emforge.views import VIEW_ORDER, ViewKind, render_labels, render_view
+from emforge.views import render_labels, render_view
 
 # How far each jammer kind reaches either side of its centre, as a fraction
 # of the sample rate (phase-code: its main lobe).
@@ -520,7 +524,7 @@ class TestBuildWritesRowsFromLabels:
         assert _tree(tmp_path / "one") == {p: tree[p] for p in one.view_paths}
         # Every PNG holds the bytes encode_png writes for the painted view.
         for sample_id, draft, params in self._drafts(spec):
-            for kind, rel_path in zip(VIEW_ORDER, corpus._view_paths(sample_id)):
+            for kind, rel_path in zip(VIEW_ORDER, manifest._view_paths(sample_id)):
                 assert tree[rel_path] == png.encode_png(render_view(draft.signal, kind, params))
 
     def test_render_view_paints_render_labels(self):
@@ -845,8 +849,8 @@ class TestSharedManifestRecords:
 
 def _stored_paths(record):
     """What a record's view_paths slot holds: None for the canonical paths."""
-    paths = corpus._STORED_VIEW_PATHS.__get__(record)
-    return None if paths is corpus._CANONICAL else paths
+    paths = manifest._STORED_VIEW_PATHS.__get__(record)
+    return None if paths is manifest._CANONICAL else paths
 
 
 class TestDerivedViewPaths:
@@ -864,7 +868,7 @@ class TestDerivedViewPaths:
         return canonical, custom
 
     def test_canonical_paths_follow_the_sample_id(self):
-        assert corpus._view_paths("mr-00042") == tuple(
+        assert manifest._view_paths("mr-00042") == tuple(
             f"images/mr-00042_{kind.value}.png" for kind in ViewKind
         )
 
@@ -880,7 +884,7 @@ class TestDerivedViewPaths:
         assert all(_stored_paths(r) == r.view_paths for r in custom)
         assert all(r.view_paths[0].startswith("IMAGES/") for r in custom)
         assert [r.view_paths for r in canonical] == [
-            corpus._view_paths(r.sample_id) for r in canonical
+            manifest._view_paths(r.sample_id) for r in canonical
         ]
 
     def test_canonical_records_retain_no_path_strings(self, manifests):
@@ -902,13 +906,13 @@ class TestDerivedViewPaths:
         other = ("w.png", "x.png", "y.png", "z.png")
         record.view_paths = other
         assert record.to_dict()["view_paths"] == other
-        record.view_paths = list(corpus._view_paths(record.sample_id))
+        record.view_paths = list(manifest._view_paths(record.sample_id))
         assert _stored_paths(record) is None
-        assert record.to_dict()["view_paths"] == corpus._view_paths(record.sample_id)
+        assert record.to_dict()["view_paths"] == manifest._view_paths(record.sample_id)
 
     def test_canonical_and_stored_paths_compare_equal(self, manifests):
         record = read_manifest(manifests[0])[0]
-        args = [getattr(record, name) for name in corpus.MANIFEST_FIELDS]
+        args = [getattr(record, name) for name in manifest.MANIFEST_FIELDS]
         assert ManifestRecord(*args) == record
         custom = read_manifest(manifests[1])[0]
         assert custom != record

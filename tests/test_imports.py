@@ -40,3 +40,21 @@ def test_importing_budget_loads_no_numpy():
     loaded = _loaded_after("import emforge.budget")
     assert _emforge_modules(loaded) == {"emforge", "emforge.budget"}
     assert "numpy" not in loaded
+
+
+def test_importing_manifest_loads_no_numpy():
+    loaded = _loaded_after("import emforge.manifest")
+    assert _emforge_modules(loaded) == {"emforge", "emforge.manifest"}
+    assert "numpy" not in loaded
+
+
+def test_importing_metrics_loads_only_the_manifest():
+    loaded = _loaded_after("import emforge.metrics")
+    assert _emforge_modules(loaded) == {"emforge", "emforge.manifest", "emforge.metrics"}
+
+
+def test_importing_the_cli_loads_no_build_stack():
+    # Only build and render import corpus, and through it the build stack.
+    build_stack = {"corpus", "builders", "instrgen", "png", "raster", "signal", "synth", "views"}
+    loaded = _emforge_modules(_loaded_after("import emforge.cli"))
+    assert {name.split(".")[1] for name in loaded if "." in name} & build_stack == set()

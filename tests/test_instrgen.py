@@ -9,14 +9,13 @@ from emforge import instrgen
 from emforge.instrgen import (
     DISTRACTOR_FACTORS,
     DISTRACTOR_OFFSETS,
-    OPTION_LETTERS,
-    UNABLE_TO_ANSWER,
     canonical_number,
     make_ajsd_openqa,
     make_mcqa_categorical,
     make_mcqa_numeric,
     make_openqa,
 )
+from emforge.manifest import OPTION_LETTERS, UNABLE_TO_ANSWER
 from emforge.synth import JAMMER_KINDS
 
 MR_UNIVERSE = [

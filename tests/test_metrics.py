@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emforge import metrics
-from emforge.corpus import CorpusSpec, ManifestRecord, build_corpus
-from emforge.instrgen import TagKind
+from emforge.corpus import CorpusSpec, build_corpus
+from emforge.manifest import ManifestRecord, TagKind
 from emforge.metrics import (
     _CHUNK_TOKENS,
     BLEU_EPSILON,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emforge import views
+from emforge.manifest import ViewKind
 from emforge.raster import (
     WHITE,
     bucket_minmax,
@@ -21,7 +22,7 @@ from emforge.raster import (
     polyline_runs,
 )
 from emforge.signal import IqSignal
-from emforge.views import RenderParams, StftParams, ViewKind, _hann, render_view, stft
+from emforge.views import RenderParams, StftParams, _hann, render_view, stft
 
 COLOR = (16, 16, 192)
 

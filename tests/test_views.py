@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emforge import png
+from emforge.manifest import VIEW_ORDER, ViewKind
 from emforge.raster import paint
 from emforge.signal import IqSignal
 from emforge.synth import (
@@ -27,8 +28,6 @@ from emforge.synth import (
 from emforge.views import (
     RenderParams,
     StftParams,
-    VIEW_ORDER,
-    ViewKind,
     fft_magnitude,
     normalized_db,
     render_view,
