@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 
 from . import budget as budget_mod
-from . import metrics
+from . import manifest
 from .manifest import ConfigError, read_manifest
 
 ENV_OUT_DIR = "EMFORGE_OUT"
@@ -111,6 +111,8 @@ def _check_out_dir(path) -> None:
 
 
 def cmd_score(args) -> int:
+    from . import metrics  # only scoring loads numpy
+
     _check_outputs(("report", args.report), ("csv", args.csv), ("per-record", args.per_record))
     # An input that cannot be opened is a usage error, as is one that does not parse.
     try:
@@ -118,7 +120,7 @@ def cmd_score(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError("manifest", str(exc)) from exc
     try:
-        predictions = metrics.load_predictions(args.predictions)
+        predictions = manifest.load_predictions(args.predictions)
         report = metrics.score_predictions(records, predictions)
     except (OSError, ValueError) as exc:
         raise ConfigError("predictions", str(exc)) from exc
@@ -126,10 +128,10 @@ def cmd_score(args) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
-    print(metrics.format_report_table(report))
+    print(manifest.format_report_table(report))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(metrics.snr_tables_csv(report))
+            fh.write(manifest.snr_tables_csv(report))
     if args.per_record:
         with open(args.per_record, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(json.dumps(o.to_row()) + "\n" for o in report.outcomes)
@@ -138,15 +140,15 @@ def cmd_score(args) -> int:
 
 def cmd_report(args) -> int:
     _check_outputs(("csv", args.csv))
-    # Formatting reads nested fields, so a mistyped one surfaces there.
+    # Formatting runs in the try too: a number beyond the float range fails there.
     try:
         with open(args.report, encoding="utf-8") as fh:
-            report = metrics.ScoreReport.from_dict(json.load(fh))
-        table = metrics.format_report_table(report)
-        csv_text = metrics.snr_tables_csv(report) if args.csv else None
+            report = manifest.ScoreReport.from_dict(json.load(fh))
+        table = manifest.format_report_table(report)
+        csv_text = manifest.snr_tables_csv(report) if args.csv else None
     except OSError as exc:
         raise ConfigError("report", str(exc)) from exc
-    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise ConfigError("report", f"{args.report}: malformed report ({exc})") from exc
     print(table)
     if args.csv:

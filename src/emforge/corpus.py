@@ -23,7 +23,7 @@ from typing import get_type_hints
 
 from . import builders, png
 from .builders import _largest_remainder
-from .manifest import ANSWER_TAGS, VIEW_ORDER, ConfigError, ManifestRecord, _view_paths
+from .manifest import ANSWER_TAGS, VIEW_ORDER, ConfigError, ManifestRecord, _view_paths, json_is
 
 # perfbench's tracer patches builders.draft_record and, here, _build_one, render_view,
 # encode_png, assign_split, stratified_bench and write_manifest by name, and it reads
@@ -279,14 +279,9 @@ class CorpusSpec:
         return cls(**values)
 
 
-# The JSON values each declared type accepts: an int field takes integers, a
-# float field any number, a str field strings; no field takes a bool.
-_JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict}
-
-
 def _reader(kind):
     def read(value):
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        if not json_is(value, kind):
             raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
         return kind(value)
 

@@ -1,7 +1,7 @@
-"""The manifest format: answer tags, view names, records and their JSON-lines I/O.
-
-Everything a reader of a manifest (docs/manifest_schema.md) needs is here, on
-the standard library alone, so scoring one never loads the build stack.
+"""The files the scorer reads and writes: manifests, predictions, score reports
+and per-record outcomes (docs/manifest_schema.md), with the answer tags and view
+names a manifest uses. Standard library only: `score` never loads the build
+stack, and `report` and `budget` never load numpy.
 """
 
 from __future__ import annotations
@@ -10,9 +10,10 @@ import gc
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import repeat
+from typing import get_type_hints
 
 UNABLE_TO_ANSWER = "Unable to answer"
 OPTION_LETTERS = ("A", "B", "C", "D", "E")
@@ -71,12 +72,17 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
+def json_is(value, kind) -> bool:
+    """Whether a JSON value is of the declared type or union `kind`: a float takes any
+    number, and a bool is never a number, though Python counts it as an int."""
+    return not isinstance(value, bool) and (
+        isinstance(value, kind) or isinstance(value, int) and isinstance(0.0, kind))
+
+
 def _is_finite_number(x) -> bool:
-    """Whether a JSON value is a number that is finite as a float; a bool is not a number here."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
+    """Whether a JSON value is a number that is finite as a float."""
     try:
-        return math.isfinite(x)
+        return json_is(x, float) and math.isfinite(x)
     except OverflowError:  # an int beyond the float range
         return False
 
@@ -317,3 +323,145 @@ def read_manifest(path) -> list[ManifestRecord]:
     finally:
         if was_enabled:
             gc.enable()
+
+
+TEXT_METRICS = ("bleu4", "rouge_l", "meteor", "cider")
+
+
+@dataclass(slots=True)
+class Outcome:
+    """One scored record. AJSD free text has no `correct`: its per-item
+    (bleu4, rouge_l, meteor, cider) sit in `text_scores` instead."""
+
+    sample_id: str
+    task: str
+    format: str
+    snr_db: float | None
+    parseable: bool
+    correct: bool | None = None
+    text_scores: tuple | None = None
+
+    def to_row(self) -> dict:
+        row = {name: getattr(self, name) for name in _OUTCOME_KEYS}
+        if self.text_scores is None:
+            row["correct"] = self.correct
+        else:
+            row.update(zip(TEXT_METRICS, self.text_scores))
+        return row
+
+
+# The row keys every outcome carries; `correct` or the text metrics follow.
+_OUTCOME_KEYS = tuple(f.name for f in fields(Outcome) if f.name not in ("correct", "text_scores"))
+
+
+@dataclass
+class ScoreReport:
+    per_task: dict = field(default_factory=dict)
+    ajsd: dict | None = None
+    snr_tables: dict = field(default_factory=dict)
+    unparseable: int = 0
+    total: int = 0
+    # Per-record outcomes in manifest order; not part of the report JSON.
+    outcomes: list = field(default_factory=list, repr=False, compare=False)
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in _REPORT_TYPES}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ScoreReport":
+        """The report of a JSON object; a non-object, or a field of another shape than
+        docs/manifest_schema.md lists, raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
+        for name, kind in _REPORT_TYPES.items():
+            if name in data:
+                _check_type(name, data[name], kind)
+        for task, cell in data.get("per_task", {}).items():
+            _check_type(f"per_task.{task}", cell, dict)
+            for stats in _FORMAT_STATS:
+                if cell.keys() & stats.keys():
+                    _check_object(f"per_task.{task}", cell, stats)
+        if data.get("ajsd") is not None:
+            _check_object("ajsd", data["ajsd"], _AJSD_TYPES)
+        for task, rows in data.get("snr_tables", {}).items():
+            _check_type(f"snr_tables.{task}", rows, list)
+            for i, row in enumerate(rows):
+                _check_object(f"snr_tables.{task}[{i}]", row, _SNR_ROW_TYPES)
+        return cls(**{name: data[name] for name in _REPORT_TYPES if name in data})
+
+
+# The report's JSON fields and their types; the per-record outcomes stay out.
+_REPORT_TYPES = {
+    name: kind for name, kind in get_type_hints(ScoreReport).items() if name != "outcomes"
+}
+# The keys and types of the report's nested objects. A per-task cell holds
+# the accuracy and the count of each format its task has records in.
+_FORMAT_STATS = [
+    {f"{fmt.lower()}_accuracy_pct": float, f"{fmt.lower()}_count": int} for fmt in FORMATS
+]
+_AJSD_TYPES = dict.fromkeys(TEXT_METRICS, float) | {
+    "cider": float | None, "composite": float | None, "count": int
+}
+_SNR_ROW_TYPES = {"snr_db": float, "count": int, "accuracy_pct": float | None}
+
+
+def _check_type(where: str, value, kind) -> None:
+    """Raise ValueError unless the report value at `where` is of the type `kind`."""
+    if not json_is(value, kind):
+        raise ValueError(f"field {where!r} cannot be {type(value).__name__}")
+
+
+def _check_object(where: str, value, types: dict) -> None:
+    """Raise ValueError unless the report value at `where` is an object that
+    holds every key of `types`, each with a value of its type."""
+    _check_type(where, value, dict)
+    for key, kind in types.items():
+        if key not in value:
+            raise ValueError(f"field {where!r} lacks {key!r}")
+        _check_type(f"{where}.{key}", value[key], kind)
+
+
+def _prediction_row(row) -> tuple[str, str]:
+    sample_id, text = row["sample_id"], row["text"]
+    if not isinstance(sample_id, str) or not isinstance(text, str):
+        raise ValueError("sample_id and text must be strings")
+    return sample_id, text
+
+
+def load_predictions(path) -> dict:
+    """Parse a line-delimited {sample_id, text} prediction file."""
+    return read_jsonl(path, "prediction", _prediction_row)
+
+
+def format_report_table(report: ScoreReport) -> str:
+    """Human-readable headline table."""
+    lines = [f"{'task':6s} {'format':8s} {'count':>6s} {'score':>9s}"]
+    for task, stats in sorted(report.per_task.items()):
+        for fmt in FORMATS:
+            key = fmt.lower()
+            if f"{key}_accuracy_pct" in stats:
+                lines.append(
+                    f"{task:6s} {fmt:8s} {stats[f'{key}_count']:>6d} "
+                    f"{stats[f'{key}_accuracy_pct']:>8.2f}%"
+                )
+    if report.ajsd:
+        a = report.ajsd
+        composite = "n/a" if a["composite"] is None else f"{a['composite']:.2f}"
+        cider_text = "n/a" if a["cider"] is None else f"{a['cider']:.3f}"
+        lines.append(
+            f"{'AJSD':6s} {'OpenQA':8s} {a['count']:>6d} {composite:>8s}  "
+            f"(bleu4 {a['bleu4']:.3f}, rouge {a['rouge_l']:.3f}, "
+            f"meteor {a['meteor']:.3f}, cider {cider_text})"
+        )
+    lines.append(f"unparseable predictions: {report.unparseable} of {report.total}")
+    return "\n".join(lines)
+
+
+def snr_tables_csv(report: ScoreReport) -> str:
+    """CSV export of the per-task SNR-binned accuracy tables."""
+    lines = ["task,snr_db,count,accuracy_pct"]
+    for task, rows in sorted(report.snr_tables.items()):
+        for row in rows:
+            acc = "" if row["accuracy_pct"] is None else f"{row['accuracy_pct']}"
+            lines.append(f"{task},{row['snr_db']},{row['count']},{acc}")
+    return "\n".join(lines) + "\n"

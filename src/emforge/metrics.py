@@ -1,5 +1,9 @@
 """Scoring: tag parsing, accuracies, text metrics, and report assembly.
 
+The files scoring reads and writes (predictions, `ScoreReport`, `Outcome`
+rows) are `emforge.manifest`'s; this module holds the numpy text kernels
+and `score_predictions`, which folds predictions into a report.
+
 All four text metrics share one tokenizer (case-fold, detach punctuation,
 whitespace split; decimals like "2.5" stay one token). BLEU4 uses
 add-epsilon smoothing for zero n-gram precisions; ROUGE is the LCS
@@ -9,8 +13,9 @@ the mean over n of TF-IDF n-gram cosine similarity at scale 1.0.
 Unparseable or missing predictions count as incorrect.
 
 Scoring a bench makes one outcome per record, in manifest order; the
-per-task accuracies, the unparseable count and the SNR tables are folds
-over that list, so each prediction is checked once.
+per-task accuracies, the unparseable count and the SNR tables (one
+`snr_binned_report` call per SNR-labelled task) are folds over that
+list, so each prediction is checked once.
 
 Free text has one scoring path, `_text_scores`, with exactly one
 reference per item. Items repeat (references come from rule tables, and
@@ -54,13 +59,12 @@ import pickle
 import re
 import threading
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import get_type_hints
 
 import numpy as np
 
-from .manifest import ANSWER_TAGS, FORMATS, TAG_PATTERNS, TagKind, read_jsonl
+from .manifest import ANSWER_TAGS, FORMATS, TAG_PATTERNS, TEXT_METRICS, Outcome, ScoreReport, TagKind
+from .manifest import load_predictions  # noqa: F401 -- perfbench calls metrics.load_predictions
 
 BLEU_EPSILON = 1e-9
 ROUGE_BETA = 1.2
@@ -564,80 +568,6 @@ def parse_tag(text: str, tag: TagKind) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-TEXT_METRICS = ("bleu4", "rouge_l", "meteor", "cider")
-
-
-@dataclass(slots=True)
-class Outcome:
-    """One scored record. AJSD free text has no `correct`: its per-item
-    (bleu4, rouge_l, meteor, cider) sit in `text_scores` instead."""
-
-    sample_id: str
-    task: str
-    format: str
-    snr_db: float | None
-    parseable: bool
-    correct: bool | None = None
-    text_scores: tuple | None = None
-
-    def to_row(self) -> dict:
-        row = {name: getattr(self, name) for name in _OUTCOME_KEYS}
-        if self.text_scores is None:
-            row["correct"] = self.correct
-        else:
-            row.update(zip(TEXT_METRICS, self.text_scores))
-        return row
-
-
-# The row keys every outcome carries; `correct` or the text metrics follow.
-_OUTCOME_KEYS = tuple(f.name for f in fields(Outcome) if f.name not in ("correct", "text_scores"))
-
-
-@dataclass
-class ScoreReport:
-    per_task: dict = field(default_factory=dict)
-    ajsd: dict | None = None
-    snr_tables: dict = field(default_factory=dict)
-    unparseable: int = 0
-    total: int = 0
-    # Per-record outcomes in manifest order; not part of the report JSON.
-    outcomes: list = field(default_factory=list, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _REPORT_TYPES}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScoreReport":
-        """The report of a JSON object; a non-object or a mistyped field raises ValueError.
-
-        No field takes a bool, although Python counts one as an int.
-        """
-        if not isinstance(data, dict):
-            raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
-        for name, kind in _REPORT_TYPES.items():
-            if name in data and (isinstance(data[name], bool) or not isinstance(data[name], kind)):
-                raise ValueError(f"field {name!r} cannot be {type(data[name]).__name__}")
-        return cls(**{name: data[name] for name in _REPORT_TYPES if name in data})
-
-
-# The report's JSON fields and their types; the per-record outcomes stay out.
-_REPORT_TYPES = {
-    name: kind for name, kind in get_type_hints(ScoreReport).items() if name != "outcomes"
-}
-
-
-def _prediction_row(row) -> tuple[str, str]:
-    sample_id, text = row["sample_id"], row["text"]
-    if not isinstance(sample_id, str) or not isinstance(text, str):
-        raise ValueError("sample_id and text must be strings")
-    return sample_id, text
-
-
-def load_predictions(path) -> dict:
-    """Parse a line-delimited {sample_id, text} prediction file."""
-    return read_jsonl(path, "prediction", _prediction_row)
-
-
 def record_correctness(record, text: str) -> tuple[bool, bool]:
     """(correct, parseable) for one prediction text against its record.
 
@@ -667,7 +597,11 @@ def _tagged_outcome(record, text: str) -> Outcome:
     return Outcome(record.sample_id, record.task, record.format, record.snr_db, parseable, correct)
 
 
-def _snr_rows(outcomes, bins) -> list[dict]:
+def snr_binned_report(outcomes, bins) -> list[dict]:
+    """Accuracy of the outcomes per SNR bin; rows sorted by bin value.
+
+    Empty bins report count 0 and a None accuracy marker.
+    """
     count = Counter(o.snr_db for o in outcomes)
     correct = Counter(o.snr_db for o in outcomes if o.correct)
     return [
@@ -678,14 +612,6 @@ def _snr_rows(outcomes, bins) -> list[dict]:
         }
         for snr in sorted(bins)
     ]
-
-
-def snr_binned_report(predictions: dict, records, bins) -> list[dict]:
-    """Accuracy per SNR bin; rows sorted by bin value.
-
-    Empty bins report count 0 and a None accuracy marker.
-    """
-    return _snr_rows([_tagged_outcome(r, predictions.get(r.sample_id, "")) for r in records], bins)
 
 
 def score_predictions(records, predictions: dict) -> ScoreReport:
@@ -733,7 +659,7 @@ def score_predictions(records, predictions: dict) -> ScoreReport:
         report.per_task[task] = stats
         labeled = [o for o in task_outcomes if o.snr_db is not None]
         if labeled:
-            report.snr_tables[task] = _snr_rows(labeled, {o.snr_db for o in labeled})
+            report.snr_tables[task] = snr_binned_report(labeled, {o.snr_db for o in labeled})
 
     if ajsd_records:
         n = len(ajsd_records)
@@ -748,37 +674,3 @@ def score_predictions(records, predictions: dict) -> ScoreReport:
         report.ajsd["composite"] = None if None in means else round(ajsd_composite(*means), 4)
         report.ajsd["count"] = n
     return report
-
-
-def format_report_table(report: ScoreReport) -> str:
-    """Human-readable headline table."""
-    lines = [f"{'task':6s} {'format':8s} {'count':>6s} {'score':>9s}"]
-    for task, stats in sorted(report.per_task.items()):
-        for fmt in FORMATS:
-            key = fmt.lower()
-            if f"{key}_accuracy_pct" in stats:
-                lines.append(
-                    f"{task:6s} {fmt:8s} {stats[f'{key}_count']:>6d} "
-                    f"{stats[f'{key}_accuracy_pct']:>8.2f}%"
-                )
-    if report.ajsd:
-        a = report.ajsd
-        composite = "n/a" if a["composite"] is None else f"{a['composite']:.2f}"
-        cider_text = "n/a" if a["cider"] is None else f"{a['cider']:.3f}"
-        lines.append(
-            f"{'AJSD':6s} {'OpenQA':8s} {a['count']:>6d} {composite:>8s}  "
-            f"(bleu4 {a['bleu4']:.3f}, rouge {a['rouge_l']:.3f}, "
-            f"meteor {a['meteor']:.3f}, cider {cider_text})"
-        )
-    lines.append(f"unparseable predictions: {report.unparseable} of {report.total}")
-    return "\n".join(lines)
-
-
-def snr_tables_csv(report: ScoreReport) -> str:
-    """CSV export of the per-task SNR-binned accuracy tables."""
-    lines = ["task,snr_db,count,accuracy_pct"]
-    for task, rows in sorted(report.snr_tables.items()):
-        for row in rows:
-            acc = "" if row["accuracy_pct"] is None else f"{row['accuracy_pct']}"
-            lines.append(f"{task},{row['snr_db']},{row['count']},{acc}")
-    return "\n".join(lines) + "\n"

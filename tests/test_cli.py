@@ -30,8 +30,8 @@ from emforge.corpus import (
     DEFAULT_SNR_GRIDS,
     build_corpus,
 )
-from emforge.manifest import ConfigError, gold_prediction, read_manifest
-from emforge.metrics import METEOR_BETA, METEOR_GAMMA, TEXT_METRICS, ScoreReport
+from emforge.manifest import TEXT_METRICS, ConfigError, ScoreReport, gold_prediction, read_manifest
+from emforge.metrics import METEOR_BETA, METEOR_GAMMA
 
 SMALL_CONFIG = {
     "counts": {
@@ -533,6 +533,38 @@ class TestScore:
         captured = capsys.readouterr()
         assert "error: report: " in captured.err and message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("per_task", {"MR": {"mcqa_accuracy_pct": True, "mcqa_count": True}},
+             "field 'per_task.MR.mcqa_accuracy_pct' cannot be bool"),
+            ("per_task", {"MR": []}, "field 'per_task.MR' cannot be list"),
+            ("per_task", {"MR": {"openqa_count": 3}},
+             "field 'per_task.MR' lacks 'openqa_accuracy_pct'"),
+            ("per_task", {"MR": {"mcqa_accuracy_pct": 10**400, "mcqa_count": 2}},
+             "int too large to convert to float"),
+            ("ajsd", {"bleu4": 1.0, "rouge_l": 1.0, "meteor": 0.5, "cider": None,
+                      "composite": None, "count": True}, "field 'ajsd.count' cannot be bool"),
+            ("ajsd", {}, "field 'ajsd' lacks 'bleu4'"),
+            ("snr_tables", {"MR": [{"snr_db": 0.0, "count": False, "accuracy_pct": None}]},
+             "field 'snr_tables.MR[0].count' cannot be bool"),
+            ("snr_tables", {"MR": [{"snr_db": None, "count": 2, "accuracy_pct": 50.0}]},
+             "field 'snr_tables.MR[0].snr_db' cannot be NoneType"),
+            ("snr_tables", {"MR": {}}, "field 'snr_tables.MR' cannot be dict"),
+        ],
+        ids=["cell-bools", "cell-list", "cell-count-only", "cell-huge-int", "ajsd-count-bool",
+             "ajsd-empty", "snr-count-bool", "snr-db-null", "snr-rows-object"],
+    )
+    def test_report_of_another_shape_exit_2(self, tmp_path, capsys, name, value, message):
+        report = tmp_path / "report.json"
+        csv_path = tmp_path / "snr.csv"
+        report.write_text(json.dumps(ScoreReport().to_dict() | {name: value}))
+        assert main(["report", "--report", str(report), "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert "error: report: " in captured.err and message in captured.err
+        assert captured.out == ""
+        assert not csv_path.exists()
 
     def test_report_replay(self, built, tmp_path, capsys):
         manifest = built / "manifest_bench.jsonl"

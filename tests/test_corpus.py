@@ -950,6 +950,12 @@ class TestDerivedViewPaths:
             ManifestRecord.from_dict({**row, "sample_id": 7})
 
 
+def _schema_section(title: str) -> str:
+    """The text of docs/manifest_schema.md's `## <title>` section, up to the next heading."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "manifest_schema.md").read_text("utf-8")
+    return re.split(r"^#", doc.split(f"\n## {title}", 1)[1], maxsplit=1, flags=re.MULTILINE)[0]
+
+
 class TestSchemas:
     """Each field list outside a dataclass matches the dataclass's fields."""
 
@@ -958,6 +964,18 @@ class TestSchemas:
         table = doc.split("## Manifest records", 1)[1].split("###", 1)[0]
         names = re.findall(r"^\| `(\w+)`", table, re.MULTILINE)
         assert names == [f.name for f in dataclasses.fields(ManifestRecord)]
+
+    def test_report_doc_lists_report_fields(self):
+        section = _schema_section("Score report")
+        names = re.findall(r"^\* `(\w+)`", section, re.MULTILINE)
+        assert names == list(manifest._REPORT_TYPES)
+
+    def test_per_record_doc_lists_outcome_row_keys(self):
+        names = re.findall(r"`(\w+)`", _schema_section("Per-record outcomes"))
+        tagged = manifest.Outcome("mr-00000", "MR", "MCQA", 0.0, True, True)
+        free_text = manifest.Outcome("ajsd-00000", "AJSD", "OpenQA", None, True,
+                                     text_scores=(1.0, 1.0, 0.5, None))
+        assert list(dict.fromkeys(names)) == list(tagged.to_row() | free_text.to_row())
 
     def test_config_readers_cover_spec_fields(self):
         assert list(corpus._FIELD_READERS) == [f.name for f in dataclasses.fields(CorpusSpec)]

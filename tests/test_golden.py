@@ -20,7 +20,8 @@ import numpy as np
 
 from emforge import png
 from emforge.corpus import CorpusSpec, build_corpus
-from emforge.metrics import format_report_table, score_predictions
+from emforge.manifest import format_report_table
+from emforge.metrics import score_predictions
 
 # Every (task, format) cell the builder supports, one record each, with
 # SNR grids trimmed so every bin holds a record.

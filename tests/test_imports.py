@@ -53,6 +53,46 @@ def test_importing_metrics_loads_only_the_manifest():
     assert _emforge_modules(loaded) == {"emforge", "emforge.manifest", "emforge.metrics"}
 
 
+def test_importing_the_cli_loads_no_numpy():
+    # Only score imports metrics, and through it numpy.
+    loaded = _loaded_after("import emforge.cli")
+    assert "emforge.metrics" not in loaded
+    assert "numpy" not in loaded
+
+
+def _imported_by_command(*argv) -> set[str]:
+    """The modules a fresh `python -m emforge <argv>` imports, as -X importtime lists them."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "emforge", *argv],
+        capture_output=True, text=True, check=False, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [line.split("|") for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return {row[-1].strip() for row in rows[1:]}
+
+
+def test_budget_and_report_load_no_numpy(tmp_path):
+    from emforge.cli import main
+    from emforge.corpus import CorpusSpec, build_corpus
+    from emforge.manifest import gold_prediction, write_manifest
+
+    spec = CorpusSpec.from_dict({"counts": {"MR": [0, 4], "AJSD": [3, 0]}, "per_bin_min": 0})
+    train, bench = build_corpus(spec, None, render=False)
+    manifest, predictions = tmp_path / "manifest.jsonl", tmp_path / "predictions.jsonl"
+    write_manifest(train + bench, manifest)
+    predictions.write_text("".join(
+        json.dumps({"sample_id": r.sample_id, "text": gold_prediction(r)}) + "\n"
+        for r in train + bench
+    ))
+    report = tmp_path / "report.json"
+    assert main(["score", "--manifest", str(manifest), "--predictions", str(predictions),
+                 "--report", str(report)]) == 0
+    for argv in (["budget"], ["report", "--report", str(report)]):
+        imported = _imported_by_command(*argv)
+        assert "emforge.cli" in imported, argv
+        assert "numpy" not in imported, argv
+
+
 def test_importing_the_cli_loads_no_build_stack():
     # Only build and render import corpus, and through it the build stack.
     build_stack = {"corpus", "builders", "instrgen", "png", "raster", "signal", "synth", "views"}

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from emforge import metrics
 from emforge.corpus import CorpusSpec, build_corpus
-from emforge.manifest import ManifestRecord, TagKind
+from emforge.manifest import ManifestRecord, ScoreReport, TagKind, load_predictions
 from emforge.metrics import (
     _CHUNK_TOKENS,
     BLEU_EPSILON,
@@ -30,7 +30,6 @@ from emforge.metrics import (
     METEOR_GAMMA,
     NGRAM_ORDER,
     ROUGE_BETA,
-    ScoreReport,
     _free_positions,
     _lcs_len,
     _meteor,
@@ -42,7 +41,6 @@ from emforge.metrics import (
     ajsd_composite,
     bleu4,
     cider,
-    load_predictions,
     mean_of_four,
     meteor,
     parse_tag,
@@ -796,12 +794,12 @@ class TestSnrBinned:
             _record(f"mr-{i:05d}", "MR", "MCQA", "A", snr=0.0, options=_OPTS) for i in range(4)
         ]
         preds = {r.sample_id: "<answer>A</answer>" for r in records[:2]}
-        rows = snr_binned_report(preds, records, [0.0])
+        rows = snr_binned_report(score_predictions(records, preds).outcomes, [0.0])
         assert rows == [{"snr_db": 0.0, "count": 4, "accuracy_pct": 50.0}]
 
     def test_empty_bin_marker(self):
         records = [_record("mr-00000", "MR", "MCQA", "A", snr=0.0, options=_OPTS)]
-        rows = snr_binned_report({}, records, [0.0, 10.0])
+        rows = snr_binned_report(score_predictions(records, {}).outcomes, [0.0, 10.0])
         assert rows[1] == {"snr_db": 10.0, "count": 0, "accuracy_pct": None}
 
     def test_threshold_fixture(self):
@@ -814,7 +812,7 @@ class TestSnrBinned:
             r.sample_id: "<answer>A</answer>" if r.snr_db > 0 else "<answer>B</answer>"
             for r in records
         }
-        rows = snr_binned_report(preds, records, [-10.0, 10.0])
+        rows = snr_binned_report(score_predictions(records, preds).outcomes, [-10.0, 10.0])
         assert rows[0]["accuracy_pct"] == 0.0
         assert rows[1]["accuracy_pct"] == 100.0
 

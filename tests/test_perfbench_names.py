@@ -4,6 +4,7 @@ and a traced build must run every wrapped call on the thread that started it."""
 import os
 
 from emforge import builders, corpus, metrics
+from emforge.manifest import gold_prediction
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -55,3 +56,26 @@ def test_traced_rendered_build_closes_every_span(monkeypatch, tmp_path):
     # Drafts and record builds nest under the run, never inside one another.
     nested = ("builders.draft", "corpus.build_one")
     assert all(parent == root for name, _, _, parent, _ in tracer.spans if name in nested)
+
+
+def test_traced_scoring_times_each_snr_table(monkeypatch):
+    """score_predictions builds each task's SNR table through metrics.snr_binned_report,
+    so the tracer's metrics.snr_tables span covers the real fold."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    spec = corpus.CorpusSpec.from_dict(
+        {"counts": {"MR": [0, 4], "SPE": [4, 2], "EI": [0, 3], "AJSD": [3, 0]}, "per_bin_min": 0}
+    )
+    train, bench = corpus.build_corpus(spec, None, render=False)
+    records = train + bench
+    predictions = {r.sample_id: gold_prediction(r) for r in records}
+    tracer = tracing.Tracer("t")
+    tracing.install(tracer, corpus, metrics, builders)
+    try:
+        report = metrics.score_predictions(records, predictions)
+    finally:
+        tracer.uninstall()
+    labelled = {r.task for r in records if r.snr_db is not None}
+    assert labelled == set(report.snr_tables) == {"MR", "SPE"}
+    assert [s[0] for s in tracer.spans].count("metrics.snr_tables") == len(labelled)
