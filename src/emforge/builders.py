@@ -8,6 +8,8 @@ without changing a single output byte.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -22,26 +24,20 @@ from .instrgen import (
     make_openqa,
 )
 from .signal import IqSignal
-from .synth import (
+from .synth.channel import apply_awgn, gen_noise
+from .synth.impairments import DeviceProfile, apply_device_profile
+from .synth.jamming import SWEEP_SPAN_FRACTION, Jammer, JammingScene, gen_jamming_scene
+from .synth.modulations import (
     ANALOG_KINDS,
     BITS_PER_SYMBOL,
-    Cw,
-    DeviceProfile,
-    Jammer,
-    JammingScene,
-    Lfm,
+    CPFSK_MOD_INDEX,
+    GFSK_MOD_INDEX,
+    WBFM_DEVIATION_HZ,
     ModulationKind,
-    PROTOCOL_CLASSES,
-    RadarPulseSpec,
-    apply_awgn,
-    apply_device_profile,
-    default_burst_spec,
-    gen_jamming_scene,
-    gen_noise,
-    gen_protocol_burst,
-    gen_radar_pulse_train,
     modulate,
 )
+from .synth.protocol import PROTOCOL_CLASSES, default_burst_spec, gen_protocol_burst
+from .synth.radar import Cw, Lfm, RadarPulseSpec, gen_radar_pulse_train
 
 SSD_CLASSES = ("radar", "communication", "noise")
 # "mixed" never occurs as ground truth; it exists so SSD MCQA can field
@@ -67,8 +63,17 @@ SPE_PARAMS = tuple(SPE_PARAM_PHRASES)
 SPE_TOLERANCE_US = 1.0
 SPE_COUNT_TOLERANCE = 0.5
 
+# Each SSD radar segment and SPE record draws its pulse width, period and
+# (SPE only) delay from these grids, in µs, and its pulse count from a range.
 # LFM pulse fills sweep their whole span about the carrier.
+SSD_PULSE_WIDTHS_US = np.arange(2.0, 10.5, 0.5)
+SSD_PERIODS_US = np.arange(15.0, 41.0, 1.0)
+SSD_PULSE_COUNTS = range(2, 5)
 SSD_LFM_SWEEPS_HZ = (1e6, 2e6, 4e6)
+SPE_PULSE_WIDTHS_US = np.arange(1.0, 8.5, 0.5)
+SPE_PERIODS_US = np.arange(10.0, 41.0, 1.0)
+SPE_PULSE_COUNTS = range(2, 7)
+SPE_DELAYS_US = np.arange(2.0, 31.0, 1.0)
 SPE_LFM_SWEEPS_HZ = (1e6, 2e6)
 
 SEGMENT_SAMPLES = 4096
@@ -93,6 +98,59 @@ AJSD_MAX_OFFSET_MHZ = 5.0
 _EI_FAMILIES = ("x310", "b210", "n210")
 
 
+def _pulse_train_window(widths_us, sweeps_hz, longest_train_us) -> tuple[float, float]:
+    return (
+        float(max(1 / (min(widths_us) / 1e6), max(sweeps_hz))),
+        float(SEGMENT_SAMPLES / (longest_train_us / 1e6)),
+    )
+
+
+# A built task's sample rate must lie in its (low, high] window, where every
+# draw of its generators makes a whole record, SEGMENT_SAMPLES / fs long, whose
+# labelled components stay inside the band, -fs/2 to fs/2, and whose values
+# stay below half the largest float.
+# - SSD, SPE: the shortest pulse must span more than one sample (at exactly
+#   one, rounding can empty it), the widest LFM fill must fit the band and the
+#   longest train must fit the record. SSD's delay only fills the slack.
+# - PR: every class's hops plus its symbol rate must sit below Nyquist.
+# - AJSD: a jammer centred up to AJSD_MAX_OFFSET_MHZ off must keep its widest
+#   extent, the LFM sweep of SWEEP_SPAN_FRACTION * fs, in the band; the
+#   sweep's chirp rate, fs^2 / 8192 Hz/s, must stay finite.
+# - MR: the WBFM phase, 2 pi * deviation * cumsum(m) / fs with |cumsum(m)| <=
+#   MR_SAMPLES, sets the floor; the CPFSK/GFSK phase, 2 pi * cumsum(h/2 * fs /
+#   MR_SPS * steps) with |steps| <= 1, the ceiling. EI's CFO rotation divides
+#   by fs, which overflows below the smallest normal float.
+_PR_MAX_EXTENT_HZ = max(
+    max(map(abs, spec.hop_pattern or (0.0,))) + spec.symbol_rate_hz
+    for spec in map(default_burst_spec, PROTOCOL_CLASSES)
+)
+_HALF_MAX_FLOAT = sys.float_info.max / 2
+SAMPLE_RATE_WINDOWS_HZ = {
+    "SSD": _pulse_train_window(
+        SSD_PULSE_WIDTHS_US,
+        SSD_LFM_SWEEPS_HZ,
+        (max(SSD_PULSE_COUNTS) - 1) * max(SSD_PERIODS_US) + max(SSD_PULSE_WIDTHS_US),
+    ),
+    "SPE": _pulse_train_window(
+        SPE_PULSE_WIDTHS_US,
+        SPE_LFM_SWEEPS_HZ,
+        max(SPE_DELAYS_US)
+        + (max(SPE_PULSE_COUNTS) - 1) * max(SPE_PERIODS_US)
+        + max(SPE_PULSE_WIDTHS_US),
+    ),
+    "MR": (
+        2 * math.pi * WBFM_DEVIATION_HZ * MR_SAMPLES / _HALF_MAX_FLOAT,
+        _HALF_MAX_FLOAT / (math.pi * MR_SAMPLES * max(CPFSK_MOD_INDEX, GFSK_MOD_INDEX) / MR_SPS),
+    ),
+    "PR": (2 * _PR_MAX_EXTENT_HZ, math.inf),
+    "EI": (sys.float_info.min, math.inf),
+    "AJSD": (
+        AJSD_MAX_OFFSET_MHZ * 1e6 / (0.5 - SWEEP_SPAN_FRACTION / 2),
+        math.sqrt(SEGMENT_SAMPLES) * math.sqrt(sys.float_info.max),
+    ),
+}
+
+
 def derive_seed(global_seed: int, token: str) -> int:
     """Stable per-sample seed: hash of the global seed and a string token."""
     import hashlib  # here, so commands that hash nothing never load OpenSSL
@@ -101,7 +159,8 @@ def derive_seed(global_seed: int, token: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _largest_remainder(quotas: list[float], total: int) -> list[int]:
+def largest_remainder(quotas: list[float], total: int) -> list[int]:
+    """Round `quotas` to ints summing to `total`, largest remainders (then lowest index) up."""
     floors = [int(q) for q in quotas]
     remainder = total - sum(floors)
     order = sorted(range(len(quotas)), key=lambda i: (-(quotas[i] - floors[i]), i))
@@ -113,7 +172,7 @@ def _largest_remainder(quotas: list[float], total: int) -> list[int]:
 def _ei_device_counts(total: int, n_devices: int) -> list[int]:
     """Long-tailed per-device EI record counts: geometric decay 0.75 per device, sums to total."""
     weights = np.array([0.75**k for k in range(n_devices)])
-    return _largest_remainder((total * weights / weights.sum()).tolist(), total)
+    return largest_remainder((total * weights / weights.sum()).tolist(), total)
 
 
 @lru_cache
@@ -192,11 +251,12 @@ def _draft_ssd(index, fmt, spec, rng, fs, snr):
         sig = gen_noise(SEGMENT_SAMPLES, fs, _seed(rng))
     else:
         if cls == "radar":
-            pw = float(rng.choice(np.arange(2.0, 10.5, 0.5)))
-            period = float(rng.choice(np.arange(15.0, 41.0, 1.0)))
-            count = int(rng.integers(2, 5))
-            max_delay = duration_us - ((count - 1) * period + pw)
-            delay = float(rng.choice(np.arange(0.0, max(max_delay, 1.0), 1.0)))
+            pw = float(rng.choice(SSD_PULSE_WIDTHS_US))
+            period = float(rng.choice(SSD_PERIODS_US))
+            count = int(rng.integers(SSD_PULSE_COUNTS.start, SSD_PULSE_COUNTS.stop))
+            # A whole number of µs within the slack the train leaves.
+            slack_us = duration_us - ((count - 1) * period + pw)
+            delay = float(rng.choice(math.ceil(max(slack_us, 1.0))))
             fill = Lfm(float(rng.choice(SSD_LFM_SWEEPS_HZ))) if rng.integers(2) else Cw()
             clean = gen_radar_pulse_train(
                 RadarPulseSpec(pw, period, count, delay, fill), duration_us, fs
@@ -212,10 +272,10 @@ def _draft_ssd(index, fmt, spec, rng, fs, snr):
 
 def _draft_spe(index, fmt, spec, rng, fs, snr):
     duration_us = SEGMENT_SAMPLES / fs * 1e6
-    pw = float(rng.choice(np.arange(1.0, 8.5, 0.5)))
-    period = float(rng.choice(np.arange(10.0, 41.0, 1.0)))
-    count = int(rng.integers(2, 7))
-    delay = float(rng.choice(np.arange(2.0, 31.0, 1.0)))
+    pw = float(rng.choice(SPE_PULSE_WIDTHS_US))
+    period = float(rng.choice(SPE_PERIODS_US))
+    count = int(rng.integers(SPE_PULSE_COUNTS.start, SPE_PULSE_COUNTS.stop))
+    delay = float(rng.choice(SPE_DELAYS_US))
     fill = Lfm(float(rng.choice(SPE_LFM_SWEEPS_HZ))) if rng.integers(3) == 0 else Cw()
     pulse_spec = RadarPulseSpec(pw, period, count, delay, fill)
     sig = apply_awgn(gen_radar_pulse_train(pulse_spec, duration_us, fs), snr, _seed(rng))

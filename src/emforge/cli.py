@@ -21,7 +21,7 @@ ENV_OUT_DIR = "EMFORGE_OUT"
 
 
 def _default_out() -> str:
-    return os.environ.get(ENV_OUT_DIR, "emforge-out")
+    return os.environ.get(ENV_OUT_DIR) or "emforge-out"  # empty counts as unset
 
 
 def _load_spec(args):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -21,9 +20,9 @@ from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import get_type_hints
 
-from . import builders, png
-from .builders import _largest_remainder
-from .manifest import ANSWER_TAGS, VIEW_ORDER, ConfigError, ManifestRecord, _view_paths, json_is
+from . import builders, manifest, png
+from .builders import largest_remainder
+from .manifest import ANSWER_TAGS, VIEW_ORDER, ConfigError, ManifestRecord, json_is
 
 # perfbench's tracer patches builders.draft_record and, here, _build_one, render_view,
 # encode_png, assign_split, stratified_bench and write_manifest by name, and it reads
@@ -32,9 +31,6 @@ from .manifest import ANSWER_TAGS, VIEW_ORDER, ConfigError, ManifestRecord, _vie
 # both are imported only for the tracer.
 from .manifest import read_manifest, write_manifest  # noqa: F401
 from .png import encode_png  # noqa: F401
-from .synth import PROTOCOL_CLASSES, default_burst_spec
-from .synth.jamming import SWEEP_SPAN_FRACTION
-from .synth.modulations import CPFSK_MOD_INDEX, GFSK_MOD_INDEX, WBFM_DEVIATION_HZ
 from .views import (  # noqa: F401
     DEFAULT_IMAGE_SIZE,
     RenderParams,
@@ -78,52 +74,6 @@ DEFAULT_SAMPLE_RATES = {
     "AJSD": 20e6,
 }
 
-# A built task's sample rate must lie in its (low, high] window, where every
-# draw of its generators makes a whole record whose labelled components stay
-# inside the band, -fs/2 to fs/2. A record holds SEGMENT_SAMPLES = 4096
-# samples, so it lasts 4096 / fs.
-# - SSD: the shortest pulse (2 us) must span more than one sample (at exactly
-#   one, rounding can empty it), and the widest LFM fill (4 MHz) must fit the
-#   band; the longest train, 3 periods of 40 us plus a 10 us pulse = 130 us,
-#   must fit the record (its delay only fills the slack).
-# - SPE: shortest pulse 1 us, widest LFM fill 2 MHz; longest train 30 us delay
-#   + 5 periods of 40 us + an 8 us pulse = 238 us.
-# - PR: every class's hops plus its symbol rate must sit below Nyquist
-#   (bluetooth-like, 1 MHz symbols hopping to +-2 MHz: fs > 6 MHz).
-# - AJSD: a jammer centred up to 5 MHz off must keep its whole extent in the
-#   band. The widest is the LFM sweep, SWEEP_SPAN_FRACTION * fs wide (fs/16
-#   each side; noise-band and phase-code reach fs/20, multitone fs/64), so
-#   fs > 5 MHz / (1/2 - 1/16), about 11.43 MHz. The sweep's chirp rate,
-#   (fs/8) / (4096 / fs / 4) = fs^2 / 8192 Hz/s, must stay below half the
-#   largest float: fs <= sqrt(4096 * float max), about 8.58e155 Hz.
-# - MR and EI draw at any rate at which their arithmetic stays finite, each
-#   bound keeping the largest value below half the largest float. MR's WBFM
-#   phase, 2 pi * 75 kHz * cumsum(m) / fs, with |cumsum(m)| <= 1024 for a
-#   unit-RMS message of 1024 samples, sets its floor; its CPFSK/GFSK phase,
-#   2 pi * cumsum(h/2 * fs/8 * steps) with |steps| <= 1 over 1024 samples,
-#   its ceiling. EI's CFO rotation divides by fs, which overflows below the
-#   smallest normal float.
-_PR_MAX_EXTENT_HZ = max(
-    max(map(abs, spec.hop_pattern or (0.0,))) + spec.symbol_rate_hz
-    for spec in map(default_burst_spec, PROTOCOL_CLASSES)
-)
-_HALF_MAX_FLOAT = sys.float_info.max / 2
-SAMPLE_RATE_WINDOWS_HZ = {
-    "SSD": (max(1 / 2e-6, max(builders.SSD_LFM_SWEEPS_HZ)), builders.SEGMENT_SAMPLES / 130e-6),
-    "SPE": (max(1 / 1e-6, max(builders.SPE_LFM_SWEEPS_HZ)), builders.SEGMENT_SAMPLES / 238e-6),
-    "MR": (
-        2 * math.pi * WBFM_DEVIATION_HZ * builders.MR_SAMPLES / _HALF_MAX_FLOAT,
-        _HALF_MAX_FLOAT
-        / (math.pi * builders.MR_SAMPLES * max(CPFSK_MOD_INDEX, GFSK_MOD_INDEX) / builders.MR_SPS),
-    ),
-    "PR": (2 * _PR_MAX_EXTENT_HZ, math.inf),
-    "EI": (sys.float_info.min, math.inf),
-    "AJSD": (
-        builders.AJSD_MAX_OFFSET_MHZ * 1e6 / (0.5 - SWEEP_SPAN_FRACTION / 2),
-        math.sqrt(builders.SEGMENT_SAMPLES) * math.sqrt(sys.float_info.max),
-    ),
-}
-
 DEFAULT_SPLIT_SALT = "emforge-split-v1"
 TASK_ORDER = tuple(BENCH_COMPOSITION)
 
@@ -148,14 +98,14 @@ def desk_scale_counts(total: int) -> dict[str, tuple[int, int]]:
         raise ConfigError("total", "must be >= 60 to populate every task cell")
     cells = [c for task in TASK_ORDER for c in BENCH_COMPOSITION[task]]
     quotas = [total * c / BENCH_COMPOSITION_TOTAL for c in cells]
-    alloc = _largest_remainder(quotas, total)
+    alloc = largest_remainder(quotas, total)
     return {task: (alloc[2 * i], alloc[2 * i + 1]) for i, task in enumerate(TASK_ORDER)}
 
 
 def task_format_split(task: str, n: int) -> tuple[int, int]:
     """Split n records of one task into (OpenQA, MCQA) at its table ratio."""
     openqa, mcqa = BENCH_COMPOSITION[task]
-    o, m = _largest_remainder([n * openqa / (openqa + mcqa), n * mcqa / (openqa + mcqa)], n)
+    o, m = largest_remainder([n * openqa / (openqa + mcqa), n * mcqa / (openqa + mcqa)], n)
     return o, m
 
 
@@ -201,9 +151,9 @@ class CorpusSpec:
         if self.per_bin_min < 0:
             raise ConfigError("per_bin_min", "must be nonnegative")
         built = {task for task, pair in self.counts.items() if sum(int(c) for c in pair)}
-        if self.ei_device_count < 4:
-            raise ConfigError("ei_device_count", "need >= 4 devices for MCQA distractors")
         if "EI" in built:
+            if self.ei_device_count < 4:
+                raise ConfigError("ei_device_count", "need >= 4 devices for MCQA distractors")
             try:
                 builders.make_device_profiles(self.ei_device_count)
             except ValueError as exc:
@@ -229,7 +179,7 @@ class CorpusSpec:
                 raise ConfigError("snr_grids", f"{task} records need an SNR grid")
         for task in TASK_ORDER:
             rate = self.sample_rates.get(task, 0)
-            lo, hi = SAMPLE_RATE_WINDOWS_HZ[task] if task in built else (0.0, math.inf)
+            lo, hi = builders.SAMPLE_RATE_WINDOWS_HZ[task] if task in built else (0.0, math.inf)
             if not (math.isfinite(rate) and lo < rate <= hi):
                 window = f"({lo / 1e6:.4g}, {hi / 1e6:.4g}] MHz"
                 raise ConfigError("sample_rates", f"{task} needs a finite rate in {window}")
@@ -237,9 +187,10 @@ class CorpusSpec:
             stft = StftParams(self.stft_window, self.stft_hop)
         except ValueError as exc:
             raise ConfigError("stft_window/stft_hop", str(exc)) from exc
-        if self.stft_window > builders.MR_SAMPLES:
+        samples = builders.MR_SAMPLES if "MR" in built else builders.SEGMENT_SAMPLES
+        if self.stft_window > samples:
             raise ConfigError(
-                "stft_window", f"must not exceed the {builders.MR_SAMPLES} samples of an MR record"
+                "stft_window", f"must not exceed the {samples} samples of the shortest record built"
             )
         try:
             RenderParams(size=self.image_size, stft=stft)
@@ -382,7 +333,7 @@ def _build_one(sample_id: str, task: str, fmt: str, draft, spec: CorpusSpec, out
     """
     import hashlib  # here, so commands that hash nothing never load OpenSSL
 
-    paths = _view_paths(sample_id)
+    paths = manifest.canonical_view_paths(sample_id)
     hasher = hashlib.sha256()
     if pngs is None:
         hasher.update(draft.signal.samples)

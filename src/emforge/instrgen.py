@@ -6,8 +6,8 @@ A-D. Numeric distractors come from multiples of the ground truth
 (DISTRACTOR_FACTORS), offsets from it (DISTRACTOR_OFFSETS) and uniform
 draws relative to it (DISTRACTOR_RANGE); any closer than twice the
 scoring tolerance to the ground truth is rejected. AJSD references
-follow a rule table keyed by the jammer kinds of `synth.JAMMER_KINDS`,
-one clause per jammer in that kind order.
+follow a rule table keyed by the jammer kinds of
+`synth.jamming.JAMMER_KINDS`, one clause per jammer in that kind order.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifest import OPTION_LETTERS, TASK_TAGS, UNABLE_TO_ANSWER, TagKind
-from .synth import JAMMER_KINDS
+from .synth.jamming import JAMMER_KINDS
 
 MAX_DISTRACTOR_ATTEMPTS = 200
 DISTRACTOR_FACTORS = (0.5, 2.0, 3.0)

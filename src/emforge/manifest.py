@@ -178,7 +178,7 @@ _MANIFEST_FIELD_SET = frozenset(MANIFEST_FIELDS)
 _VIEW_SUFFIXES = tuple(f"_{kind.value}.png" for kind in VIEW_ORDER)
 
 
-def _view_paths(sample_id: str) -> tuple:
+def canonical_view_paths(sample_id: str) -> tuple:
     """The canonical relative path of each view of `sample_id`, in VIEW_ORDER."""
     prefix = "images/" + sample_id
     return tuple([prefix + suffix for suffix in _VIEW_SUFFIXES])
@@ -193,7 +193,7 @@ _CANONICAL = object()
 
 def _get_view_paths(record: ManifestRecord) -> tuple:
     paths = _STORED_VIEW_PATHS.__get__(record)
-    return _view_paths(record.sample_id) if paths is _CANONICAL else paths
+    return canonical_view_paths(record.sample_id) if paths is _CANONICAL else paths
 
 
 def _set_view_paths(record: ManifestRecord, paths) -> None:

@@ -30,7 +30,7 @@ from emforge.metrics import (
     tokenize,
 )
 from emforge.signal import IqSignal, measure_snr
-from emforge.synth import apply_awgn, gen_noise
+from emforge.synth.channel import apply_awgn, gen_noise
 from emforge.views import fft_magnitude
 
 from test_golden import pixel_digest, running_versions

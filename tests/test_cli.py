@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 import emforge
 from emforge import metrics
+from emforge.builders import SAMPLE_RATE_WINDOWS_HZ
 from emforge.cli import _load_spec, _parser, main
 from emforge.corpus import (
-    SAMPLE_RATE_WINDOWS_HZ,
     TASK_ORDER,
     CorpusSpec,
     DEFAULT_SAMPLE_RATES,
@@ -214,6 +214,8 @@ class TestBuild:
             # A rate keyed by an unknown task would be ignored and still written out.
             ({"counts": {"MR": [0, 60]}, "snr_grids": {"MR": [0]}, "sample_rates": {"mr": 2e6}},
              "sample_rates"),
+            # Without MR the STFT window must fit a 4,096-sample record.
+            ({"counts": {"SSD": [6, 3]}, "stft_window": 8192, "stft_hop": 512}, "stft_window"),
         ],
     )
     def test_config_error_exit_2_before_writing(self, tmp_path, capsys, overrides, field):
@@ -225,6 +227,23 @@ class TestBuild:
         assert main(["build", "--config", str(path), "--out", str(out), *flags]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # The device count bounds only an EI build.
+            {"counts": {"MR": [0, 22]}, "ei_device_count": 2},
+            # The STFT window must fit the shortest record built, here 4,096 samples.
+            {"counts": {"SSD": [6, 3]}, "stft_window": 2048, "stft_hop": 512},
+        ],
+        ids=["no-EI-2-devices", "SSD-only-window-2048"],
+    )
+    def test_build_checks_only_the_tasks_it_builds(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, "per_bin_min": 0, "image_size": 32}))
+        out = tmp_path / "o"
+        assert main(["build", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "manifest_bench.jsonl").exists()
 
     @pytest.mark.parametrize("body", ["[]", "5", "null", "{", '"abc"'])
     def test_config_not_a_json_object_exit_2(self, tmp_path, capsys, body):
@@ -279,6 +298,14 @@ class TestBuild:
         monkeypatch.chdir(tmp_path)
         assert main(["build", "--config", config_path]) == 0
         assert (target / "manifest_train.jsonl").exists()
+
+    def test_empty_env_var_is_unset(self, tmp_path, config_path, monkeypatch):
+        monkeypatch.setenv("EMFORGE_OUT", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["build", "--config", config_path]) == 0
+        assert (tmp_path / "emforge-out" / "manifest_train.jsonl").exists()
+        assert not (tmp_path / "manifest_train.jsonl").exists()
+        assert not (tmp_path / "images").exists()
 
 
 class TestScore:

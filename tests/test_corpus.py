@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import emforge.synth.jamming as jamming
 from emforge import builders, corpus, manifest, png, raster, views
 from emforge.corpus import (
     ENCODER_THREAD_PREFIX,
@@ -41,7 +42,6 @@ from emforge.manifest import (
     read_manifest,
     write_manifest,
 )
-from emforge.synth import jamming
 from emforge.views import render_labels, render_view
 
 # How far each jammer kind reaches either side of its centre, as a fraction
@@ -524,7 +524,7 @@ class TestBuildWritesRowsFromLabels:
         assert _tree(tmp_path / "one") == {p: tree[p] for p in one.view_paths}
         # Every PNG holds the bytes encode_png writes for the painted view.
         for sample_id, draft, params in self._drafts(spec):
-            for kind, rel_path in zip(VIEW_ORDER, manifest._view_paths(sample_id)):
+            for kind, rel_path in zip(VIEW_ORDER, manifest.canonical_view_paths(sample_id)):
                 assert tree[rel_path] == png.encode_png(render_view(draft.signal, kind, params))
 
     def test_render_view_paints_render_labels(self):
@@ -591,12 +591,29 @@ class TestConfigValidation:
             spec.validate()
         assert err.value.field == "sample_rates"
 
+    def test_sample_rate_window_edges_are_pinned(self):
+        # The SSD and SPE edges derive from the builders' draw ranges; any
+        # change to a range or to the derivation must show here, bit for bit.
+        windows = builders.SAMPLE_RATE_WINDOWS_HZ
+        assert all(type(edge) is float for window in windows.values() for edge in window)
+        assert {
+            task: tuple(float.hex(edge) for edge in window)
+            for task, window in windows.items()
+        } == {
+            "SSD": ("0x1.e848000000000p+21", "0x1.e0c4ec4ec4ec6p+24"),
+            "SPE": ("0x1.e848000000000p+20", "0x1.069ae4089ae40p+24"),
+            "MR": ("0x1.cc31b9797657cp-995", "0x1.45f306dc9c882p+1015"),
+            "PR": ("0x1.6e36000000000p+22", "inf"),
+            "EI": ("0x1.0000000000000p-1022", "inf"),
+            "AJSD": ("0x1.5cc5b6db6db6ep+23", "0x1.fffffffffffffp+517"),
+        }
+
     @pytest.mark.parametrize("task", ["SSD", "SPE", "MR", "PR", "EI", "AJSD"])
     def test_sample_rate_window_edges_draw_whole_records(self, task):
         # Just inside each end of the window every draft has finite samples
         # and, for the radar tasks, a pulse train that fits the record. An
         # open top end is probed at the largest float.
-        lo, hi = corpus.SAMPLE_RATE_WINDOWS_HZ[task]
+        lo, hi = builders.SAMPLE_RATE_WINDOWS_HZ[task]
         fmt = "OpenQA" if task in ("SSD", "SPE", "AJSD") else "MCQA"
         samples = builders.MR_SAMPLES if task == "MR" else builders.SEGMENT_SAMPLES
         for rate in (lo * (1 + 1e-9), min(hi, sys.float_info.max)):
@@ -868,7 +885,7 @@ class TestDerivedViewPaths:
         return canonical, custom
 
     def test_canonical_paths_follow_the_sample_id(self):
-        assert manifest._view_paths("mr-00042") == tuple(
+        assert manifest.canonical_view_paths("mr-00042") == tuple(
             f"images/mr-00042_{kind.value}.png" for kind in ViewKind
         )
 
@@ -884,7 +901,7 @@ class TestDerivedViewPaths:
         assert all(_stored_paths(r) == r.view_paths for r in custom)
         assert all(r.view_paths[0].startswith("IMAGES/") for r in custom)
         assert [r.view_paths for r in canonical] == [
-            manifest._view_paths(r.sample_id) for r in canonical
+            manifest.canonical_view_paths(r.sample_id) for r in canonical
         ]
 
     def test_canonical_records_retain_no_path_strings(self, manifests):
@@ -906,9 +923,9 @@ class TestDerivedViewPaths:
         other = ("w.png", "x.png", "y.png", "z.png")
         record.view_paths = other
         assert record.to_dict()["view_paths"] == other
-        record.view_paths = list(manifest._view_paths(record.sample_id))
+        record.view_paths = list(manifest.canonical_view_paths(record.sample_id))
         assert _stored_paths(record) is None
-        assert record.to_dict()["view_paths"] == manifest._view_paths(record.sample_id)
+        assert record.to_dict()["view_paths"] == manifest.canonical_view_paths(record.sample_id)
 
     def test_canonical_and_stored_paths_compare_equal(self, manifests):
         record = read_manifest(manifests[0])[0]

@@ -1,10 +1,12 @@
 """What importing a module loads: the package namespace re-exports nothing,
 so `import emforge.<module>` loads only what that module imports."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +100,45 @@ def test_importing_the_cli_loads_no_build_stack():
     build_stack = {"corpus", "builders", "instrgen", "png", "raster", "signal", "synth", "views"}
     loaded = _emforge_modules(_loaded_after("import emforge.cli"))
     assert {name.split(".")[1] for name in loaded if "." in name} & build_stack == set()
+
+
+def _private_imports(path) -> list[str]:
+    """`module.name` for each underscore name that `path` takes from another emforge
+    module, by a from-import or as an attribute of an imported emforge module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("emforge")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name}")
+                if node.module is None:  # from . import module
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    package = Path(SRC, "emforge")
+    found = {str(path.relative_to(package)): _private_imports(path) for path in package.rglob("*.py")}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_the_synth_package_exports_nothing():
+    code = "import emforge.synth as s; print([n for n in vars(s) if not n.startswith('_')])"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_importing_instrgen_loads_only_the_jamming_generators():
+    # instrgen needs synth.jamming's kinds, not the modulators or device models.
+    loaded = _loaded_after("import emforge.instrgen")
+    assert "emforge.synth.jamming" in loaded
+    assert {"emforge.synth.modulations", "emforge.synth.impairments"} & loaded == set()

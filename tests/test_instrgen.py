@@ -16,7 +16,7 @@ from emforge.instrgen import (
     make_openqa,
 )
 from emforge.manifest import OPTION_LETTERS, UNABLE_TO_ANSWER
-from emforge.synth import JAMMER_KINDS
+from emforge.synth.jamming import JAMMER_KINDS
 
 MR_UNIVERSE = [
     "AM-DSB", "AM-SSB", "WBFM", "BPSK", "QPSK", "8PSK",

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from emforge import builders, corpus
+from emforge import builders
 from emforge.corpus import CorpusSpec
 from emforge.views import fft_magnitude
 from test_corpus import JAMMER_HALF_EXTENT
 
-AJSD_LOW_EDGE_HZ = corpus.SAMPLE_RATE_WINDOWS_HZ["AJSD"][0]
+AJSD_LOW_EDGE_HZ = builders.SAMPLE_RATE_WINDOWS_HZ["AJSD"][0]
 
 
 @pytest.mark.parametrize("rate", [20e6, AJSD_LOW_EDGE_HZ * (1 + 1e-9)], ids=["20MSps", "low-edge"])
@@ -66,7 +66,7 @@ def test_ajsd_jammer_power_lies_within_its_labelled_extent(kind, rate):
         assert share > 0.5, (index, jammer, share)
 
 
-SPE_LOW_EDGE_HZ, SPE_HIGH_EDGE_HZ = corpus.SAMPLE_RATE_WINDOWS_HZ["SPE"]
+SPE_LOW_EDGE_HZ, SPE_HIGH_EDGE_HZ = builders.SAMPLE_RATE_WINDOWS_HZ["SPE"]
 
 
 @pytest.mark.parametrize(

@@ -10,30 +10,25 @@ import pytest
 
 from emforge.builders import EI_SPS, MR_SPS, SEGMENT_SAMPLES, SSD_COMM_SPS
 from emforge.signal import IqSignal, measure_snr, signal_power
-from emforge.synth import (
+from emforge.synth.channel import apply_awgn, gen_noise
+from emforge.synth.impairments import DeviceProfile, apply_device_profile
+from emforge.synth.jamming import Jammer, JammingScene, gen_jamming_scene
+from emforge.synth.modulations import (
     ANALOG_KINDS,
     BITS_PER_SYMBOL,
-    DeviceProfile,
-    Jammer,
-    JammingScene,
-    Lfm,
     ModulationKind,
-    PROTOCOL_CLASSES,
-    ProtocolBurstSpec,
-    RadarPulseSpec,
-    apply_awgn,
-    apply_device_profile,
     constellation,
     cyclic_filter,
-    default_burst_spec,
-    gen_jamming_scene,
-    gen_noise,
-    gen_protocol_burst,
-    gen_radar_pulse_train,
     modulate,
-    pulse_support_indices,
     rrc_taps,
 )
+from emforge.synth.protocol import (
+    PROTOCOL_CLASSES,
+    ProtocolBurstSpec,
+    default_burst_spec,
+    gen_protocol_burst,
+)
+from emforge.synth.radar import Lfm, RadarPulseSpec, gen_radar_pulse_train, pulse_support_indices
 from emforge.views import StftParams, fft_magnitude, stft
 
 

@@ -16,15 +16,9 @@ from emforge import png
 from emforge.manifest import VIEW_ORDER, ViewKind
 from emforge.raster import paint
 from emforge.signal import IqSignal
-from emforge.synth import (
-    Cw,
-    ModulationKind,
-    RadarPulseSpec,
-    apply_awgn,
-    gen_noise,
-    gen_radar_pulse_train,
-    modulate,
-)
+from emforge.synth.channel import apply_awgn, gen_noise
+from emforge.synth.modulations import ModulationKind, modulate
+from emforge.synth.radar import Cw, RadarPulseSpec, gen_radar_pulse_train
 from emforge.views import (
     RenderParams,
     StftParams,
