@@ -28,10 +28,11 @@ use it. Pass 2 walks the distinct pairs grouped by reference, in chunks
 of whole groups so that no array grows with the corpus: ROUGE-L and
 METEOR per pair, then one array pass per order over the chunk's
 references and candidates for BLEU's clipped matches, CIDEr's dot
-products and both TF-IDF norms. ROUGE-L's LCS length is bit-parallel
-over Python ints (Allison & Dix 1986; Hyyrö 2004); METEOR looks each
-token, then each stem, up in a map to its unused reference positions,
-and builds the exact-match map once per reference. `score_predictions`
+products and both TF-IDF norms. One position map per reference, built
+once for its group, feeds ROUGE-L (as the bit masks of a bit-parallel
+LCS over Python ints; Allison & Dix 1986, Hyyrö 2004) and METEOR (whose
+exact and stem passes both take a key's k-th unaligned occurrence to its
+k-th free reference position). `score_predictions`
 and all four public metrics run `_text_scores`: `bleu4`, `rouge_l` and
 `meteor` as a one-pair corpus. Every per-item formula keeps one order of
 operations: float sums run left to right over the candidate's, or the
@@ -113,33 +114,64 @@ def bleu4(candidate: str, reference: str) -> float:
     return _text_scores([reference], [candidate])[0][0]
 
 
-def _lcs_len(a: list, b: list) -> int:
-    """LCS length, bit-parallel over Python ints (Allison & Dix 1986; Hyyrö 2004).
+def _positions(keys, skip=()) -> dict:
+    """Each key's positions in `keys` outside `skip`, in increasing order."""
+    positions: dict = {}
+    for j, key in enumerate(keys):
+        if j not in skip:
+            positions.setdefault(key, []).append(j)
+    return positions
 
-    Bit i of a token's mask marks a[i]; after each token of b, the zero
-    bits of v count the LCS so far.
+
+def _align(keys, positions: dict, pairs: dict) -> None:
+    """Align the k-th candidate occurrence of each key that `pairs` leaves
+    unaligned to the key's k-th reference position in `positions`."""
+    seen: dict = {}
+    for i, key in enumerate(keys):
+        if i not in pairs:
+            k = seen.get(key, 0)
+            seen[key] = k + 1
+            slots = positions.get(key)
+            if slots is not None and k < len(slots):
+                pairs[i] = slots[k]
+
+
+def _matches(ref: list, cands: list, stem):
+    """Per candidate: (its LCS length with `ref`, its sorted METEOR alignment).
+
+    The reference's position map, its LCS bit masks and its stems are
+    built once. LCS length is symmetric, so the bit-parallel loop (Allison &
+    Dix 1986; Hyyrö 2004) runs over the candidate: bit j of a token's mask
+    marks ref[j], and after each candidate token the zero bits of v count
+    the LCS so far. METEOR's greedy alignment walks the candidate left to
+    right and takes the earliest unused reference position with the same
+    key, exact matches first, then stems, which keeps identical sentences
+    in one contiguous chunk: the k-th unaligned occurrence of a key takes
+    the key's k-th free reference position.
     """
-    masks: dict = {}
-    for i, tok in enumerate(a):
-        masks[tok] = masks.get(tok, 0) | 1 << i
-    full = (1 << len(a)) - 1
-    v = full
-    for tok in b:
-        m = masks.get(tok)
-        if m:
-            u = v & m
-            v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
+    positions = _positions(ref)
+    masks = {tok: sum(1 << j for j in slots) for tok, slots in positions.items()}
+    ref_stems = [stem(tok) for tok in ref]
+    full = (1 << len(ref)) - 1
+    for cand in cands:
+        v = full
+        for tok in cand:
+            m = masks.get(tok)
+            if m:
+                u = v & m
+                v = ((v + u) | (v - u)) & full
+        pairs: dict[int, int] = {}
+        _align(cand, positions, pairs)
+        if len(pairs) < len(cand):
+            _align(map(stem, cand), _positions(ref_stems, set(pairs.values())), pairs)
+        yield len(ref) - v.bit_count(), sorted(pairs.items())
 
 
-def _rouge_l(cand: list, ref: list) -> float:
-    if not cand or not ref:
-        return 0.0
-    lcs = _lcs_len(cand, ref)
+def _rouge_l(lcs: int, cand_len: int, ref_len: int) -> float:
     if lcs == 0:
         return 0.0
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
+    precision = lcs / cand_len
+    recall = lcs / ref_len
     beta_sq = ROUGE_BETA**2
     return (1 + beta_sq) * precision * recall / (recall + beta_sq * precision)
 
@@ -149,51 +181,12 @@ def rouge_l(candidate: str, reference: str) -> float:
     return _text_scores([reference], [candidate])[0][1]
 
 
-def _free_positions(keys, used=frozenset()) -> dict:
-    """Each key's reference positions outside `used`, in a list, earliest last."""
-    free: dict = {}
-    for j, key in reversed(list(enumerate(keys))):
-        if j not in used:
-            free.setdefault(key, []).append(j)
-    return free
-
-
-def _take(keys, free: dict, pairs: dict) -> None:
-    """Align each unaligned candidate position to its key's earliest free reference position."""
-    for i, key in enumerate(keys):
-        if i not in pairs:
-            slots = free.get(key)
-            if slots:
-                pairs[i] = slots.pop()
-
-
-def _meteor_alignment(cand: list, ref: list, stem, exact: dict | None = None) -> list[tuple]:
-    """Greedy two-stage alignment: exact matches first, then stem matches.
-
-    Each pass walks the candidate left to right and takes the earliest
-    unused reference position with the same key, which keeps identical
-    sentences in one contiguous chunk. `exact` is the reference's
-    `_free_positions`, which a caller scoring many candidates against one
-    reference builds once; the exact pass takes from a copy of it.
-    """
-    if exact is None:
-        exact = _free_positions(ref)
-    pairs: dict[int, int] = {}
-    _take(cand, {key: slots.copy() for key, slots in exact.items()}, pairs)
-    if len(pairs) < len(cand):
-        _take(map(stem, cand), _free_positions(map(stem, ref), set(pairs.values())), pairs)
-    return sorted(pairs.items())
-
-
-def _meteor(cand: list, ref: list, stem, exact: dict | None = None) -> float:
-    if not cand or not ref:
-        return 0.0
-    pairs = _meteor_alignment(cand, ref, stem, exact)
+def _meteor(pairs: list[tuple], cand_len: int, ref_len: int) -> float:
     m = len(pairs)
     if m == 0:
         return 0.0
-    precision = m / len(cand)
-    recall = m / len(ref)
+    precision = m / cand_len
+    recall = m / ref_len
     f_mean = precision * recall / (METEOR_ALPHA * precision + (1 - METEOR_ALPHA) * recall)
     chunks = 1
     for (ci, ri), (cj, rj) in zip(pairs, pairs[1:]):
@@ -515,10 +508,11 @@ def _text_scores(references: list[str], candidates: list[str]) -> list[tuple]:
         def scored_groups():
             # Per reference: its tokens, its candidates' tokens and their (ROUGE-L, METEOR).
             for ref, texts in zip(refs[lo:hi], cand_texts[lo:hi]):
-                exact = _free_positions(ref)
                 cands = [vocab.intern(text) for text in texts]
-                yield ref, cands, [(_rouge_l(cand, ref), _meteor(cand, ref, stem, exact))
-                                   for cand in cands]
+                yield ref, cands, [
+                    (_rouge_l(lcs, len(cand), len(ref)), _meteor(pairs, len(cand), len(ref)))
+                    for cand, (lcs, pairs) in zip(cands, _matches(ref, cands, stem))
+                ]
 
         out = []
         for chunk in _chunks(scored_groups(), lambda g: len(g[0]) + sum(map(len, g[1]))):

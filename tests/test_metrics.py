@@ -30,10 +30,8 @@ from emforge.metrics import (
     METEOR_GAMMA,
     NGRAM_ORDER,
     ROUGE_BETA,
-    _free_positions,
-    _lcs_len,
+    _matches,
     _meteor,
-    _meteor_alignment,
     _rouge_l,
     _stem,
     _text_scores,
@@ -249,10 +247,11 @@ def oracle_text_scores(references: list[str], candidates):
         cand = vocab.intern(candidate)
         cand_grams = _ngram_counts(cand)
         ref_grams = _ngram_counts(ref)
+        ((lcs, pairs),) = _matches(ref, [cand], stem)
         yield (
             _bleu4(len(cand), cand_grams, len(ref), ref_grams),
-            _rouge_l(cand, ref),
-            _meteor(cand, ref, stem),
+            _rouge_l(lcs, len(cand), len(ref)),
+            _meteor(pairs, len(cand), len(ref)),
             None if idf_by_n is None else _cider(cand_grams, ref_grams, idf_by_n, n_docs),
         )
 
@@ -323,7 +322,9 @@ class TestRouge:
         for len_a, len_b in product((0, 1, 63, 64, 65, 200, 500), repeat=2):
             a = [_WORDS[i] for i in rng.integers(0, n_words, len_a)]
             b = [_WORDS[i] for i in rng.integers(0, n_words, len_b)]
-            assert _lcs_len(a, b) == oracle_lcs_len(a, b), (len_a, len_b)
+            # Masks over the reference a, the bit-parallel loop over the candidate b.
+            [(lcs, _)] = _matches(a, [b], _stem)
+            assert lcs == oracle_lcs_len(a, b), (len_a, len_b)
 
 
 class TestMeteor:
@@ -342,24 +343,34 @@ class TestMeteor:
             cand = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
             ref = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
             want = oracle_meteor_alignment(cand, ref)
-            assert _meteor_alignment(cand, ref, _stem) == want
+            [(_, pairs)] = _matches(ref, [cand], _stem)
+            assert pairs == want
             vocab = _Vocab()
             ids = vocab.intern(" ".join(ref)), vocab.intern(" ".join(cand))
-            assert _meteor_alignment(ids[1], ids[0], vocab.stem_of.__getitem__) == want
+            [(_, pairs)] = _matches(ids[0], [ids[1]], vocab.stem_of.__getitem__)
+            assert pairs == want
 
-    def test_shared_exact_map_is_left_unchanged(self):
-        # One reference's exact-match map serves all its candidates; each takes from a copy.
+    def test_a_groups_position_map_is_unchanged_after_scoring_its_candidates(self, monkeypatch):
+        # One reference's position map and masks serve all its candidates; none takes from them.
+        built = []
+        positions = metrics._positions
+
+        def recorded(keys, skip=()):
+            found = positions(keys, skip)
+            built.append((keys, found))
+            return found
+
+        monkeypatch.setattr(metrics, "_positions", recorded)
         rng = np.random.default_rng(15)
         for _ in range(50):
             ref = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
-            exact = _free_positions(ref)
-            before = {key: list(slots) for key, slots in exact.items()}
-            for _ in range(5):
-                cand = tokenize(_random_sentence(rng, 30, _STEM_WORDS))
-                assert _meteor_alignment(cand, ref, _stem, exact) == oracle_meteor_alignment(
-                    cand, ref
-                )
-            assert exact == before
+            cands = [tokenize(_random_sentence(rng, 30, _STEM_WORDS)) for _ in range(5)]
+            built.clear()
+            got = list(_matches(ref, cands, _stem))
+            assert [pairs for _, pairs in got] == [oracle_meteor_alignment(c, ref) for c in cands]
+            assert [lcs for lcs, _ in got] == [oracle_lcs_len(ref, c) for c in cands]
+            [group_map] = [found for keys, found in built if keys is ref]
+            assert group_map == {tok: [j for j, t in enumerate(ref) if t == tok] for tok in ref}
 
     def test_oracle_sweep_long_sentences(self):
         rng = np.random.default_rng(22)
@@ -644,12 +655,12 @@ class TestForkedSplit:
         cands.insert(at, " ".join(["zulu"] * 97))
         rouge = metrics._rouge_l
 
-        def poisoned(cand, ref):
-            if len(cand) == 97:
+        def poisoned(lcs, cand_len, ref_len):
+            if cand_len == 97:
                 if failure == "child-exits":
                     os._exit(3)
                 raise ValueError("poisoned candidate")
-            return rouge(cand, ref)
+            return rouge(lcs, cand_len, ref_len)
 
         monkeypatch.setattr(metrics, "_rouge_l", poisoned)
         forks = self._counted_forks(monkeypatch)
