@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
@@ -406,6 +406,9 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
     drafted = _drafted(jobs, spec)
     if not render:
         return [_finished(args, None, spec, out_dir) for args in drafted]
+    # Imported here, so that importing corpus loads no thread machinery.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(_ENCODER_THREADS, thread_name_prefix=ENCODER_THREAD_PREFIX) as encoder:
         in_flight, records = deque(), []
         for args in drafted:
@@ -413,6 +416,24 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
             if len(in_flight) == _RECORDS_IN_FLIGHT:
                 records.append(_finished(*in_flight.popleft(), spec, out_dir))
         return records + [_finished(*job, spec, out_dir) for job in in_flight]
+
+
+# A view file's name, <sample_id>_<view>.png, as builders.record_id and
+# manifest.canonical_view_paths form it.
+_VIEW_FILE = re.compile(
+    f"(?:{'|'.join(task.lower() for task in TASK_ORDER)})-[0-9]+"
+    f"_(?:{'|'.join(kind.value for kind in VIEW_ORDER)})[.]png"
+)
+
+
+def _prune_views(out_dir, records) -> None:
+    """Remove each view file under out_dir/images that none of `records`
+    lists, so a smaller rebuild leaves no stale views. Other files stay."""
+    images = os.path.join(out_dir, "images")
+    listed = {os.path.basename(path) for r in records for path in r.view_paths}
+    for name in os.listdir(images):
+        if name not in listed and _VIEW_FILE.fullmatch(name):
+            os.remove(os.path.join(images, name))
 
 
 def _task_jobs(task: str, spec: CorpusSpec):
@@ -450,7 +471,9 @@ def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool 
     loop once, on every N-th job. Output is independent of the worker
     count: records are pure functions of (spec, sample_id) and the
     manifests are sorted. Fewer than one worker raises ConfigError before
-    anything is written.
+    anything is written. A rendered build, once its manifests are written,
+    removes the view files under out_dir/images that none of its records
+    lists.
     """
     if workers < 1:
         raise ConfigError("workers", f"need at least 1 worker process, got {workers}")
@@ -489,5 +512,7 @@ def build_corpus(spec: CorpusSpec, out_dir=None, workers: int = 1, render: bool 
         with open(os.path.join(out_dir, "config_used.json"), "w", encoding="utf-8") as fh:
             json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+        if render:
+            _prune_views(out_dir, records)
     return train, bench
 

@@ -32,9 +32,9 @@ products and both TF-IDF norms. One position map per reference, built
 once for its group, feeds ROUGE-L (as the bit masks of a bit-parallel
 LCS over Python ints; Allison & Dix 1986, Hyyrö 2004) and METEOR (whose
 exact and stem passes both take a key's k-th unaligned occurrence to its
-k-th free reference position). `score_predictions`
-and all four public metrics run `_text_scores`: `bleu4`, `rouge_l` and
-`meteor` as a one-pair corpus. Every per-item formula keeps one order of
+k-th free reference position). `score_predictions` and all four public
+metrics run `_text_scores`: `bleu4`, `rouge_l` and `meteor` as a
+one-pair corpus. Every per-item formula keeps one order of
 operations: float sums run left to right over the candidate's, or the
 reference's, n-grams in first-occurrence order (`np.bincount` adds in
 index order, and its entries are laid out in that order), logs, exps

@@ -148,6 +148,33 @@ class TestBuild:
         assert main(["build", "--config", config_path, "--out", str(out2)]) == 0
         assert _tree_hash(out2) == first
 
+    def test_smaller_rebuild_leaves_no_stale_views(self, tmp_path, capsys):
+        out, images = tmp_path / "out", tmp_path / "out" / "images"
+        configs = {}
+        for n in (6, 3, 5):
+            configs[n] = tmp_path / f"mr{n}.json"
+            configs[n].write_text(json.dumps({"counts": {"MR": [0, n]}, "per_bin_min": 0}))
+        assert main(["build", "--config", str(configs[6]), "--out", str(out)]) == 0
+        # Files without the <task>-<digits>_<view>.png form are not the build's to remove.
+        kept = ["notes.txt", "mr-00004_thumbnail.png", "xx-00004_constellation.png"]
+        for name in kept:
+            (images / name).write_text("kept")
+        assert main(["build", "--config", str(configs[3]), "--out", str(out)]) == 0
+        records = read_manifest(out / "manifest_train.jsonl") + read_manifest(
+            out / "manifest_bench.jsonl"
+        )
+        listed = [Path(rel).name for r in records for rel in r.view_paths]
+        assert len(records) == 3 and len(listed) == 12
+        assert sorted(p.name for p in images.iterdir()) == sorted(listed + kept)
+        # `emforge render` adds its record's views and removes nothing.
+        assert main(["render", "--config", str(configs[5]), "--sample-id", "mr-00004",
+                     "--out", str(out)]) == 0
+        assert len(list(images.glob("mr-00004_*.png"))) == 5
+        assert len(list(images.iterdir())) == 12 + 4 + len(kept)
+        # A plan build writes no image and removes none.
+        build_corpus(CorpusSpec.from_dict({"counts": {"MR": [0, 1]}, "per_bin_min": 0}), out, render=False)
+        assert len(list(images.iterdir())) == 12 + 4 + len(kept)
+
     def test_seed_flag_changes_content(self, tmp_path, config_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -55,6 +55,12 @@ def test_importing_metrics_loads_only_the_manifest():
     assert _emforge_modules(loaded) == {"emforge", "emforge.manifest", "emforge.metrics"}
 
 
+def test_importing_corpus_loads_no_thread_machinery():
+    # Only a rendered build's record loop needs ThreadPoolExecutor; it imports it then.
+    loaded = _loaded_after("import emforge.corpus")
+    assert {"concurrent.futures", "logging", "queue"} & loaded == set()
+
+
 def test_importing_the_cli_loads_no_numpy():
     # Only score imports metrics, and through it numpy.
     loaded = _loaded_after("import emforge.cli")

@@ -1,9 +1,13 @@
-"""The suite's own pytest settings keep one failing test from ending the session."""
+"""The suite's own pytest settings keep one failing test from ending the session,
+and CI runs the suite with the command ROADMAP.md names."""
 
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -33,3 +37,15 @@ def test_failing_hypothesis_test_lets_later_files_run(tmp_path):
     assert "INTERNALERROR" not in output
     assert "FAILED test_a_property.py::test_fails" in output
     assert "PASSED test_b_plain.py::test_passes" in output
+
+
+def test_ci_runs_the_roadmap_tier1_command():
+    yaml = pytest.importorskip("yaml")
+    root = PYPROJECT.parent
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = workflow["jobs"]["tests"]["steps"]
+    roadmap = (root / "ROADMAP.md").read_text()
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    assert steps[-1]["run"] == command
+    assert {"python-version": "3.11"} in [step.get("with") for step in steps]
+    assert 'python -m pip install ".[test]"' in [step.get("run") for step in steps]
