@@ -108,7 +108,8 @@ def _header(body: bytes) -> tuple[int, int, int, int]:
 
 
 def _paeth(a: int, b: int, c: int) -> int:
-    """§9.4: of left, above and upper left, the one nearest p = a + b - c; ties go in that order."""
+    """§9.4: of left (a), above (b) and upper left (c), the one nearest a + b - c;
+    ties go to a, then b."""
     p = a + b - c
     pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
     if pa <= pb and pa <= pc:

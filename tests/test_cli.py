@@ -148,7 +148,7 @@ class TestBuild:
         assert main(["build", "--config", config_path, "--out", str(out2)]) == 0
         assert _tree_hash(out2) == first
 
-    def test_smaller_rebuild_leaves_no_stale_views(self, tmp_path, capsys):
+    def test_smaller_rebuild_leaves_no_stale_views(self, tmp_path):
         out, images = tmp_path / "out", tmp_path / "out" / "images"
         configs = {}
         for n in (6, 3, 5):
@@ -172,7 +172,8 @@ class TestBuild:
         assert len(list(images.glob("mr-00004_*.png"))) == 5
         assert len(list(images.iterdir())) == 12 + 4 + len(kept)
         # A plan build writes no image and removes none.
-        build_corpus(CorpusSpec.from_dict({"counts": {"MR": [0, 1]}, "per_bin_min": 0}), out, render=False)
+        plan = CorpusSpec.from_dict({"counts": {"MR": [0, 1]}, "per_bin_min": 0})
+        build_corpus(plan, out, render=False)
         assert len(list(images.iterdir())) == 12 + 4 + len(kept)
 
     def test_seed_flag_changes_content(self, tmp_path, config_path):
