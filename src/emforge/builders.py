@@ -32,26 +32,21 @@ from .synth.modulations import (
     BITS_PER_SYMBOL,
     CPFSK_MOD_INDEX,
     GFSK_MOD_INDEX,
+    MODULATIONS,
     WBFM_DEVIATION_HZ,
-    ModulationKind,
     modulate,
 )
 from .synth.protocol import PROTOCOL_CLASSES, default_burst_spec, gen_protocol_burst
-from .synth.radar import Cw, Lfm, RadarPulseSpec, gen_radar_pulse_train
+from .synth.radar import RadarPulseSpec, gen_radar_pulse_train
 
 SSD_CLASSES = ("radar", "communication", "noise")
 # "mixed" never occurs as ground truth; it exists so SSD MCQA can field
 # three wrong options besides the truth.
 SSD_OPTION_UNIVERSE = SSD_CLASSES + ("mixed",)
 
-SSD_COMM_KINDS = (
-    ModulationKind.BPSK,
-    ModulationKind.QPSK,
-    ModulationKind.QAM16,
-    ModulationKind.GFSK,
-)
-
-MR_KINDS = tuple(ModulationKind)
+# The modulations of SSD communication segments; SSD draws index into it, so
+# its order is part of the output bytes.
+SSD_COMM_KINDS = ("BPSK", "QPSK", "QAM16", "GFSK")
 
 SPE_PARAM_PHRASES = {
     "pulse_width_us": ("pulse width", "µs"),
@@ -224,7 +219,7 @@ def record_snr(task: str, index: int, grid) -> float | None:
     return grid[index % len(grid)]
 
 
-def modulated_payload(kind: ModulationKind, n_samples: int, sps: int, fs: float, rng) -> IqSignal:
+def modulated_payload(kind: str, n_samples: int, sps: int, fs: float, rng) -> IqSignal:
     """`n_samples` of `kind`: analog kinds from a message seed, digital ones from random bits."""
     if kind in ANALOG_KINDS:
         return modulate(kind, _seed(rng), sps, fs, n_samples=n_samples)
@@ -257,9 +252,9 @@ def _draft_ssd(index, fmt, spec, rng, fs, snr):
             # A whole number of µs within the slack the train leaves.
             slack_us = duration_us - ((count - 1) * period + pw)
             delay = float(rng.choice(math.ceil(max(slack_us, 1.0))))
-            fill = Lfm(float(rng.choice(SSD_LFM_SWEEPS_HZ))) if rng.integers(2) else Cw()
+            sweep = float(rng.choice(SSD_LFM_SWEEPS_HZ)) if rng.integers(2) else None
             clean = gen_radar_pulse_train(
-                RadarPulseSpec(pw, period, count, delay, fill), duration_us, fs
+                RadarPulseSpec(pw, period, count, delay, sweep), duration_us, fs
             )
         else:
             kind = SSD_COMM_KINDS[int(rng.integers(len(SSD_COMM_KINDS)))]
@@ -276,8 +271,8 @@ def _draft_spe(index, fmt, spec, rng, fs, snr):
     period = float(rng.choice(SPE_PERIODS_US))
     count = int(rng.integers(SPE_PULSE_COUNTS.start, SPE_PULSE_COUNTS.stop))
     delay = float(rng.choice(SPE_DELAYS_US))
-    fill = Lfm(float(rng.choice(SPE_LFM_SWEEPS_HZ))) if rng.integers(3) == 0 else Cw()
-    pulse_spec = RadarPulseSpec(pw, period, count, delay, fill)
+    sweep = float(rng.choice(SPE_LFM_SWEEPS_HZ)) if rng.integers(3) == 0 else None
+    pulse_spec = RadarPulseSpec(pw, period, count, delay, sweep)
     sig = apply_awgn(gen_radar_pulse_train(pulse_spec, duration_us, fs), snr, _seed(rng))
 
     pulses = {name: getattr(pulse_spec, name) for name in SPE_PARAMS}
@@ -300,12 +295,11 @@ def _draft_spe(index, fmt, spec, rng, fs, snr):
 
 
 def _draft_mr(index, fmt, spec, rng, fs, snr):
-    kind = MR_KINDS[index % len(MR_KINDS)]
+    kind = MODULATIONS[index % len(MODULATIONS)]
     clean = modulated_payload(kind, MR_SAMPLES, MR_SPS, fs, rng)
     sig = apply_awgn(clean, snr, _seed(rng))
-    universe = [k.value for k in MR_KINDS]
-    qa = _qa("MR", kind.value, partial(make_mcqa_categorical, kind.value, universe), fmt, rng)
-    return sig, qa, {"modulation": kind.value}, MR_SPS
+    qa = _qa("MR", kind, partial(make_mcqa_categorical, kind, MODULATIONS), fmt, rng)
+    return sig, qa, {"modulation": kind}, MR_SPS
 
 
 def _draft_pr(index, fmt, spec, rng, fs, snr):
@@ -323,7 +317,7 @@ def _draft_ei(index, fmt, spec, rng, fs, snr):
     profiles = make_device_profiles(spec.ei_device_count)
     counts = _ei_device_counts(sum(spec.counts["EI"]), len(profiles))
     profile = profiles[int(np.searchsorted(np.cumsum(counts), index, side="right"))]
-    clean = modulated_payload(ModulationKind.QPSK, SEGMENT_SAMPLES, EI_SPS, fs, rng)
+    clean = modulated_payload("QPSK", SEGMENT_SAMPLES, EI_SPS, fs, rng)
     marked = apply_device_profile(clean, profile, _seed(rng))
     # Real captures carry no SNR annotation; the noise draw stays unrecorded.
     internal_snr = float(rng.choice(np.arange(6.0, 19.0, 2.0)))

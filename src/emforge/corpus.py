@@ -354,7 +354,7 @@ def _build_one(sample_id: str, task: str, fmt: str, draft, spec: CorpusSpec, out
         question=draft.question,
         options=draft.options,
         answer=draft.answer,
-        tag=ANSWER_TAGS[task, fmt].value,
+        tag=ANSWER_TAGS[task, fmt],
         snr_db=draft.snr_db,
         ground_truth=draft.ground_truth,
         split=assign_split(sample_id, spec.split_salt, spec.bench_fraction),
@@ -422,7 +422,7 @@ def _build_records(jobs, spec: CorpusSpec, out_dir, render: bool) -> list:
 # manifest.canonical_view_paths form it.
 _VIEW_FILE = re.compile(
     f"(?:{'|'.join(task.lower() for task in TASK_ORDER)})-[0-9]+"
-    f"_(?:{'|'.join(kind.value for kind in VIEW_ORDER)})[.]png"
+    f"_(?:{'|'.join(VIEW_ORDER)})[.]png"
 )
 
 

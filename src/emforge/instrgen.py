@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifest import OPTION_LETTERS, TASK_TAGS, UNABLE_TO_ANSWER, TagKind
+from .manifest import OPTION_LETTERS, TASK_TAGS, UNABLE_TO_ANSWER
 from .synth.jamming import JAMMER_KINDS
 
 MAX_DISTRACTOR_ATTEMPTS = 200
@@ -210,10 +210,10 @@ def make_openqa(task: str, gt: str, seed: int = 0, **fmt) -> tuple[str, str]:
     tag = TASK_TAGS.get(task)
     if tag is None:
         raise ValueError(f"unknown task family {task!r}")
-    if tag is TagKind.NONE:
+    if tag == "none":
         raise ValueError("AJSD free text is produced by make_ajsd_openqa")
     question = _pick(OPENQA_TEMPLATES[task], seed).format(**fmt)
-    return f"{_VIEW_PREAMBLE} {question}", f"<{tag.value}>{gt}</{tag.value}>"
+    return f"{_VIEW_PREAMBLE} {question}", f"<{tag}>{gt}</{tag}>"
 
 
 def make_mcqa_question(task: str, seed: int = 0, **fmt) -> str:

@@ -1,7 +1,8 @@
 """The files the scorer reads and writes: manifests, predictions, score reports
 and per-record outcomes (docs/manifest_schema.md), with the answer tags and view
-names a manifest uses. Standard library only: `score` never loads the build
-stack, and `report` and `budget` never load numpy.
+names a manifest uses, as the plain strings its files hold. Standard library
+only: `score` never loads the build stack, and `report` and `budget` never load
+numpy.
 """
 
 from __future__ import annotations
@@ -11,57 +12,39 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from itertools import repeat
 from typing import get_type_hints
 
 UNABLE_TO_ANSWER = "Unable to answer"
 OPTION_LETTERS = ("A", "B", "C", "D", "E")
 
-
-class TagKind(str, Enum):
-    ANSWER = "answer"
-    MODE = "mode"
-    VALUE = "value"
-    SEGMENT = "segment"
-    PROTOCOL = "protocol"
-    DEVICE = "device"
-    NONE = "none"
-
-
+# task -> the tag that wraps its OpenQA answer; AJSD answers are free text.
 TASK_TAGS = {
-    "SSD": TagKind.SEGMENT,
-    "SPE": TagKind.VALUE,
-    "MR": TagKind.MODE,
-    "PR": TagKind.PROTOCOL,
-    "EI": TagKind.DEVICE,
-    "AJSD": TagKind.NONE,
+    "SSD": "segment",
+    "SPE": "value",
+    "MR": "mode",
+    "PR": "protocol",
+    "EI": "device",
+    "AJSD": "none",
 }
 # Record formats, in the order per-task report rows list them.
 FORMATS = ("MCQA", "OpenQA")
 # (task, format) -> the tag that wraps a record's answer: `answer` for MCQA,
 # else the task's own.
 ANSWER_TAGS = {
-    (task, fmt): TagKind.ANSWER if fmt == "MCQA" else tag
+    (task, fmt): "answer" if fmt == "MCQA" else tag
     for task, tag in TASK_TAGS.items()
     for fmt in FORMATS
 }
 # Each tag's <tag>...</tag> pattern, across lines; group 1 is the payload.
 TAG_PATTERNS = {
-    tag: re.compile(rf"<{tag.value}>(.*?)</{tag.value}>", re.DOTALL)
-    for tag in TagKind
-    if tag is not TagKind.NONE
+    tag: re.compile(rf"<{tag}>(.*?)</{tag}>", re.DOTALL)
+    for tag in ("answer", *TASK_TAGS.values())
+    if tag != "none"
 }
 
-
-class ViewKind(str, Enum):
-    CONSTELLATION = "constellation"
-    FFT_SPECTRUM = "fft_spectrum"
-    STFT_SPECTROGRAM = "stft_spectrogram"
-    IQ_WAVEFORM = "iq_waveform"
-
-
-VIEW_ORDER = tuple(ViewKind)
+# The four view names, in the order of a record's view_paths.
+VIEW_ORDER = ("constellation", "fft_spectrum", "stft_spectrogram", "iq_waveform")
 
 
 class ConfigError(ValueError):
@@ -134,8 +117,8 @@ class ManifestRecord:
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         tag = ANSWER_TAGS[self.task, self.format]
-        if self.tag != tag.value:
-            raise ValueError(f"{self.task} {self.format} records use the {tag.value} tag")
+        if self.tag != tag:
+            raise ValueError(f"{self.task} {self.format} records use the {tag} tag")
         if self.format == "MCQA":
             if self.options is None or len(self.options) != 5:
                 raise ValueError("MCQA records carry exactly 5 options")
@@ -145,7 +128,7 @@ class ManifestRecord:
                 raise ValueError("MCQA answer must be an option letter")
         elif self.options is not None:
             raise ValueError("OpenQA records carry no options")
-        elif tag is not TagKind.NONE and not (
+        elif tag != "none" and not (
             (wrapped := TAG_PATTERNS[tag].fullmatch(self.answer)) and wrapped.group(1)
         ):
             raise ValueError("tagged OpenQA answers must be tag-wrapped")
@@ -175,7 +158,7 @@ MANIFEST_FIELDS = tuple(f.name for f in fields(ManifestRecord))
 _MANIFEST_FIELD_SET = frozenset(MANIFEST_FIELDS)
 
 # What follows "images/<sample_id>" in each view's path, in VIEW_ORDER.
-_VIEW_SUFFIXES = tuple(f"_{kind.value}.png" for kind in VIEW_ORDER)
+_VIEW_SUFFIXES = tuple(f"_{view}.png" for view in VIEW_ORDER)
 
 
 def canonical_view_paths(sample_id: str) -> tuple:

@@ -64,7 +64,7 @@ from itertools import chain
 
 import numpy as np
 
-from .manifest import ANSWER_TAGS, FORMATS, TAG_PATTERNS, TEXT_METRICS, Outcome, ScoreReport, TagKind
+from .manifest import ANSWER_TAGS, FORMATS, TAG_PATTERNS, TEXT_METRICS, Outcome, ScoreReport
 from .manifest import load_predictions  # noqa: F401 -- perfbench calls metrics.load_predictions
 
 BLEU_EPSILON = 1e-9
@@ -549,9 +549,10 @@ def ajsd_composite(b: float, r: float, m: float, c: float) -> float:
     return mean_of_four(b, r, m, c) * 100.0
 
 
-def parse_tag(text: str, tag: TagKind) -> str | None:
-    """First well-formed <tag>...</tag> payload, trimmed; None if absent."""
-    if tag is TagKind.NONE:
+def parse_tag(text: str, tag: str) -> str | None:
+    """First well-formed <tag>...</tag> payload, trimmed; None if absent.
+    Under the "none" tag the whole text, trimmed, is the payload."""
+    if tag == "none":
         return text.strip() or None
     match = TAG_PATTERNS[tag].search(text)
     return match.group(1).strip() if match else None

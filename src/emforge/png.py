@@ -16,7 +16,9 @@ runs it cannot change a byte. `encode_png` is `scanlines` and
 The decoder reads only what the encoder writes: 8-bit RGB, non-interlaced,
 filter 0 on every row; any other filter byte is a ValueError. So is a
 malformed stream: a truncated chunk, a CRC mismatch, a missing IHDR or
-IEND, or an IDAT stream that does not inflate.
+IEND, an IHDR compression or filter method other than 0, an unknown
+critical chunk, IDAT chunks that are not consecutive, or an IDAT stream
+that does not inflate to its end or has bytes after it.
 """
 
 from __future__ import annotations
@@ -132,14 +134,16 @@ def decode_png(data: bytes) -> np.ndarray:
     """Decode an 8-bit RGB non-interlaced filter-0 PNG into a read-only (H, W, 3) uint8 array.
 
     Every chunk up to IEND must be whole and carry its CRC; a truncated
-    stream, a bad CRC, a missing IHDR or IEND, or an IDAT stream zlib
-    cannot inflate is a ValueError naming the fault.
+    stream, a bad CRC, a missing IHDR or IEND, an IHDR method other than 0,
+    an unknown critical chunk (PNG §5.4), IDAT chunks that are not
+    consecutive (§5.6), or IDAT bytes that are not exactly one zlib stream
+    is a ValueError naming the fault.
     """
     if data[:8] != _SIGNATURE:
         raise ValueError("not a PNG byte stream")
     pos = 8
-    width = height = None
-    idat = b""
+    width = height = last = None
+    idat = []
     while True:
         if pos + 8 > len(data):
             raise ValueError(f"PNG truncated at byte {pos}: missing IEND chunk")
@@ -155,19 +159,35 @@ def decode_png(data: bytes) -> np.ndarray:
         if tag == b"IHDR":
             if length != 13:
                 raise ValueError(f"IHDR chunk holds {length} bytes, not 13")
-            width, height, depth, color, _, _, interlace = struct.unpack(">IIBBBBB", payload)
+            width, height, depth, color, compression, filtering, interlace = struct.unpack(
+                ">IIBBBBB", payload)
+            if compression != 0 or filtering != 0:
+                raise ValueError(f"IHDR compression method {compression}, filter method "
+                                 f"{filtering}; PNG defines only method 0 of each")
             if depth != 8 or color != 2 or interlace != 0:
                 raise ValueError("decoder supports 8-bit RGB non-interlaced PNG only")
         elif tag == b"IDAT":
-            idat += payload
+            if idat and last != b"IDAT":
+                raise ValueError("IDAT chunks are not consecutive")
+            idat.append(payload)
         elif tag == b"IEND":
             break
+        elif not tag[0] & 0x20 and tag != b"PLTE":  # an upper-case first letter marks it critical
+            raise ValueError(f"unknown critical chunk {tag!r}")
+        last = tag
     if width is None:
         raise ValueError("missing IHDR chunk")
+    if not idat:
+        raise ValueError("no IDAT chunk")
+    inflater = zlib.decompressobj()
     try:
-        raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
+        raw = np.frombuffer(inflater.decompress(b"".join(idat)), dtype=np.uint8)
     except zlib.error as exc:
         raise ValueError(f"IDAT stream does not inflate: {exc}") from None
+    if not inflater.eof:
+        raise ValueError("IDAT stream does not inflate: the zlib stream is cut short")
+    if inflater.unused_data:
+        raise ValueError(f"{len(inflater.unused_data)} bytes follow the IDAT zlib stream")
     if raw.size != height * (1 + width * 3):
         raise ValueError("PNG payload size mismatch")
     rows = raw.reshape(height, 1 + width * 3)

@@ -9,7 +9,7 @@ import numpy as np
 from ..signal import IqSignal, signal_power
 from .channel import complex_gaussian
 from .protocol import default_burst_spec, gen_protocol_burst
-from .radar import Cw, RadarPulseSpec, gen_radar_pulse_train
+from .radar import RadarPulseSpec, gen_radar_pulse_train
 
 JAMMER_KINDS = ("tone", "multitone", "noise-band", "lfm-sweep", "phase-code")
 BACKGROUNDS = ("noise", "radar", "comm")
@@ -59,7 +59,7 @@ def _background(scene: JammingScene, n: int, fs: float, rng: np.random.Generator
     duration_us = n / fs * 1e6
     if scene.background == "radar":
         period = duration_us / 5
-        spec = RadarPulseSpec(period / 4, period, 4, period / 8, Cw())
+        spec = RadarPulseSpec(period / 4, period, 4, period / 8)
         sig = gen_radar_pulse_train(spec, duration_us, fs).samples[:n]
     else:
         burst = default_burst_spec("wlan-like")

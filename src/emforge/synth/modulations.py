@@ -7,54 +7,37 @@ grid up to the small residual ISI of a truncated RRC. GFSK uses a
 Gaussian frequency pulse with BT = 0.5 and modulation index 0.5; CPFSK
 uses index 0.5. Analog kinds modulate a band-limited noise message
 generated from the payload seed (AM depth 0.5, WBFM deviation 75 kHz).
+Modulations are named by the plain strings of MODULATIONS, the class
+names that MR ground truth and answers carry.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from ..signal import IqSignal, signal_power
 
-
-class ModulationKind(str, Enum):
-    AM_DSB = "AM-DSB"
-    AM_SSB = "AM-SSB"
-    WBFM = "WBFM"
-    BPSK = "BPSK"
-    QPSK = "QPSK"
-    PSK8 = "8PSK"
-    QAM16 = "QAM16"
-    QAM64 = "QAM64"
-    GFSK = "GFSK"
-    CPFSK = "CPFSK"
-    PAM4 = "PAM4"
-
-
-ANALOG_KINDS = frozenset({ModulationKind.AM_DSB, ModulationKind.AM_SSB, ModulationKind.WBFM})
-CPM_KINDS = frozenset({ModulationKind.GFSK, ModulationKind.CPFSK})
-LINEAR_KINDS = frozenset(
-    {
-        ModulationKind.BPSK,
-        ModulationKind.QPSK,
-        ModulationKind.PSK8,
-        ModulationKind.QAM16,
-        ModulationKind.QAM64,
-        ModulationKind.PAM4,
-    }
+# The 11 modulation class names. Their order is part of the output bytes:
+# MR records draw their class by index into it.
+MODULATIONS = (
+    "AM-DSB", "AM-SSB", "WBFM", "BPSK", "QPSK", "8PSK",
+    "QAM16", "QAM64", "GFSK", "CPFSK", "PAM4",
 )
+ANALOG_KINDS = frozenset({"AM-DSB", "AM-SSB", "WBFM"})
+CPM_KINDS = frozenset({"GFSK", "CPFSK"})
+LINEAR_KINDS = frozenset({"BPSK", "QPSK", "8PSK", "QAM16", "QAM64", "PAM4"})
 
 BITS_PER_SYMBOL = {
-    ModulationKind.BPSK: 1,
-    ModulationKind.QPSK: 2,
-    ModulationKind.PSK8: 3,
-    ModulationKind.QAM16: 4,
-    ModulationKind.QAM64: 6,
-    ModulationKind.PAM4: 2,
-    ModulationKind.GFSK: 1,
-    ModulationKind.CPFSK: 1,
+    "BPSK": 1,
+    "QPSK": 2,
+    "8PSK": 3,
+    "QAM16": 4,
+    "QAM64": 6,
+    "PAM4": 2,
+    "GFSK": 1,
+    "CPFSK": 1,
 }
 
 RRC_ROLLOFF = 0.35
@@ -81,24 +64,24 @@ def _pam_levels(m: int) -> np.ndarray:
     return out
 
 
-def constellation(kind: ModulationKind) -> np.ndarray:
+def constellation(kind: str) -> np.ndarray:
     """Unit-average-power constellation indexed by the MSB-first bit group."""
-    if kind is ModulationKind.BPSK:
+    if kind == "BPSK":
         points = np.array([1.0, -1.0], dtype=complex)
-    elif kind is ModulationKind.QPSK:
+    elif kind == "QPSK":
         points = np.exp(1j * (np.pi / 4 + np.pi / 2 * _gray(4)))
-    elif kind is ModulationKind.PSK8:
+    elif kind == "8PSK":
         points = np.exp(1j * (np.pi / 8 + np.pi / 4 * _gray(8)))
-    elif kind is ModulationKind.QAM16:
+    elif kind == "QAM16":
         i = _pam_levels(4)
         points = (i[np.arange(16) >> 2] + 1j * i[np.arange(16) & 3]).astype(complex)
-    elif kind is ModulationKind.QAM64:
+    elif kind == "QAM64":
         i = _pam_levels(8)
         points = (i[np.arange(64) >> 3] + 1j * i[np.arange(64) & 7]).astype(complex)
-    elif kind is ModulationKind.PAM4:
+    elif kind == "PAM4":
         points = _pam_levels(4).astype(complex)
     else:
-        raise ValueError(f"{kind.value} has no linear constellation")
+        raise ValueError(f"{kind} has no linear constellation")
     return points / np.sqrt(np.mean(np.abs(points) ** 2))
 
 
@@ -185,14 +168,14 @@ def _linear(kind, bits, sps):
 def _cpm(kind, bits, sps, sample_rate_hz):
     nrz = 1.0 - 2.0 * bits
     steps = np.repeat(nrz, sps)
-    if kind is ModulationKind.GFSK and sps >= 2:
+    if kind == "GFSK" and sps >= 2:
         # Gaussian frequency pulse, truncated to +/-2 symbols.
         t = np.arange(-2 * sps, 2 * sps + 1, dtype=float) / sps
         sigma = np.sqrt(np.log(2)) / (2 * np.pi * GFSK_BT)
         g = np.exp(-(t**2) / (2 * sigma**2))
         g /= g.sum()
         steps = cyclic_filter(steps.astype(complex), g).real
-    index = GFSK_MOD_INDEX if kind is ModulationKind.GFSK else CPFSK_MOD_INDEX
+    index = GFSK_MOD_INDEX if kind == "GFSK" else CPFSK_MOD_INDEX
     symbol_rate = sample_rate_hz / sps
     freq = 0.5 * index * symbol_rate * steps
     phase = 2 * np.pi * np.cumsum(freq) / sample_rate_hz
@@ -201,9 +184,9 @@ def _cpm(kind, bits, sps, sample_rate_hz):
 
 def _analog(kind, seed, n, sample_rate_hz):
     m = _message(int(seed), n, sample_rate_hz)
-    if kind is ModulationKind.AM_DSB:
+    if kind == "AM-DSB":
         return (1.0 + AM_DEPTH * m).astype(complex)
-    if kind is ModulationKind.AM_SSB:
+    if kind == "AM-SSB":
         # Upper sideband: analytic signal of the message via FFT masking.
         spec = np.fft.fft(m)
         mask = np.zeros(n)
@@ -220,7 +203,7 @@ def _analog(kind, seed, n, sample_rate_hz):
 
 
 def modulate(
-    kind: ModulationKind,
+    kind: str,
     payload,
     samples_per_symbol: int,
     sample_rate_hz: float,
@@ -228,12 +211,14 @@ def modulate(
 ) -> IqSignal:
     """Modulate a payload into a unit-average-power baseband signal.
 
+    `kind` is one of the MODULATIONS names; ValueError names an unknown one.
     `payload` is a bit sequence for digital kinds and an integer message
     seed for analog kinds (which also require `n_samples`). Deterministic
     for fixed inputs. Pulse shaping applies for samples_per_symbol >= 2;
     at 1 sample/symbol digital outputs are the bare symbol sequence.
     """
-    kind = ModulationKind(kind)
+    if kind not in MODULATIONS:
+        raise ValueError(f"{kind!r} is not a modulation; modulations are {', '.join(MODULATIONS)}")
     sps = int(samples_per_symbol)
     if sps < 1:
         raise ValueError("samples_per_symbol must be >= 1")
@@ -242,14 +227,12 @@ def modulate(
 
     if kind in ANALOG_KINDS:
         if n_samples is None or n_samples < 1:
-            raise ValueError(f"{kind.value} requires n_samples")
+            raise ValueError(f"{kind} requires n_samples")
         x = _analog(kind, payload, int(n_samples), sample_rate_hz)
     elif kind in LINEAR_KINDS:
         x = _linear(kind, _check_bits(payload), sps)
-    elif kind in CPM_KINDS:
-        x = _cpm(kind, _check_bits(payload), sps, sample_rate_hz)
     else:
-        raise ValueError(f"unsupported modulation kind: {kind!r}")
+        x = _cpm(kind, _check_bits(payload), sps, sample_rate_hz)
 
     x = np.asarray(x, dtype=complex)
     power = signal_power(x)

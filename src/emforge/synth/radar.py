@@ -1,31 +1,17 @@
 """Radar pulse-train generation.
 
-Pulses carry a unit envelope with a CW (constant) or LFM (linear chirp)
-fill, the two fills the SSD and SPE records draw; the AJSD radar
-background uses CW.
+Pulses carry a unit envelope with a constant (CW) fill, or with an LFM
+(linear chirp) fill when `RadarPulseSpec.lfm_sweep_hz` is set: the two
+fills the SSD and SPE records draw. The AJSD radar background uses CW.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..signal import IqSignal
-
-
-@dataclass(frozen=True)
-class Cw:
-    """Constant-envelope fill (no intra-pulse modulation)."""
-
-
-@dataclass(frozen=True)
-class Lfm:
-    sweep_hz: float
-
-    def __post_init__(self):
-        if self.sweep_hz == 0:
-            raise ValueError("LFM sweep_hz must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -34,7 +20,8 @@ class RadarPulseSpec:
     period_us: float
     count: int
     delay_us: float = 0.0
-    intra_pulse: Cw | Lfm = field(default_factory=Cw)
+    # The LFM sweep across each pulse; None for a constant-envelope (CW) fill.
+    lfm_sweep_hz: float | None = None
 
     def __post_init__(self):
         if self.pulse_width_us <= 0 or self.period_us <= 0:
@@ -45,6 +32,8 @@ class RadarPulseSpec:
             raise ValueError("count must be a positive integer")
         if self.delay_us < 0:
             raise ValueError("delay_us must be nonnegative")
+        if self.lfm_sweep_hz == 0:
+            raise ValueError("lfm_sweep_hz must be nonzero")
 
     @property
     def train_end_us(self) -> float:
@@ -66,17 +55,17 @@ def pulse_support_indices(spec: RadarPulseSpec, sample_rate_hz: float) -> list[t
     return spans
 
 
-def _fill(intra: Cw | Lfm, n: int, pulse_width_us: float, sample_rate_hz: float) -> np.ndarray:
-    if isinstance(intra, Cw):
+def _fill(
+    sweep_hz: float | None, n: int, pulse_width_us: float, sample_rate_hz: float
+) -> np.ndarray:
+    if sweep_hz is None:
         return np.ones(n, dtype=complex)
-    if isinstance(intra, Lfm):
-        # Sweep from -sweep/2 to +sweep/2 across the pulse width.
-        t = np.arange(n) / sample_rate_hz
-        width_s = pulse_width_us * 1e-6
-        rate = intra.sweep_hz / width_s
-        phase = 2 * np.pi * (-0.5 * intra.sweep_hz * t + 0.5 * rate * t**2)
-        return np.exp(1j * phase)
-    raise ValueError(f"unsupported intra-pulse fill: {intra!r}")
+    # Sweep from -sweep/2 to +sweep/2 across the pulse width.
+    t = np.arange(n) / sample_rate_hz
+    width_s = pulse_width_us * 1e-6
+    rate = sweep_hz / width_s
+    phase = 2 * np.pi * (-0.5 * sweep_hz * t + 0.5 * rate * t**2)
+    return np.exp(1j * phase)
 
 
 def gen_radar_pulse_train(
@@ -99,5 +88,5 @@ def gen_radar_pulse_train(
     for start, stop in pulse_support_indices(spec, sample_rate_hz):
         stop = min(stop, n)
         if stop > start:
-            x[start:stop] = _fill(spec.intra_pulse, stop - start, spec.pulse_width_us, sample_rate_hz)
+            x[start:stop] = _fill(spec.lfm_sweep_hz, stop - start, spec.pulse_width_us, sample_rate_hz)
     return IqSignal(x, sample_rate_hz)

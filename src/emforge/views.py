@@ -3,7 +3,8 @@
 Every render is a pure function of (signal, parameters): fixed axis
 rules, fixed colors, no text, no randomness. Constellation axes span
 +/-1.5 * max|x|, spectrum/spectrogram cover the full band DC-centered,
-the waveform view spans the full time axis.
+the waveform view spans the full time axis. Views are named by the
+plain strings of `manifest.VIEW_ORDER`, the names their PNG files carry.
 
 A view is a (size, size) label image and a fixed palette: 2 colors for
 the constellation and the spectrum (bool labels), 4 for the waveform
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .manifest import ViewKind
+from .manifest import VIEW_ORDER
 from .raster import (
     WHITE,
     bucket_minmax,
@@ -171,19 +172,21 @@ def _render_waveform(signal: IqSignal, p: RenderParams) -> Rendered:
 
 
 _RENDERERS = {
-    ViewKind.CONSTELLATION: _render_constellation,
-    ViewKind.FFT_SPECTRUM: _render_spectrum,
-    ViewKind.STFT_SPECTROGRAM: _render_spectrogram,
-    ViewKind.IQ_WAVEFORM: _render_waveform,
+    "constellation": _render_constellation,
+    "fft_spectrum": _render_spectrum,
+    "stft_spectrogram": _render_spectrogram,
+    "iq_waveform": _render_waveform,
 }
 
 
-def render_labels(signal: IqSignal, kind: ViewKind, params: RenderParams | None = None) -> Rendered:
-    """Render one view as its (size, size) label image and its read-only palette."""
-    p = params or RenderParams()
-    return _RENDERERS[ViewKind(kind)](signal, p)  # ViewKind raises ValueError on unknown kinds
+def render_labels(signal: IqSignal, kind: str, params: RenderParams | None = None) -> Rendered:
+    """Render one view, named as in VIEW_ORDER, as its (size, size) label image and
+    its read-only palette; ValueError names an unknown view."""
+    if kind not in VIEW_ORDER:
+        raise ValueError(f"{kind!r} is not a view; views are {', '.join(VIEW_ORDER)}")
+    return _RENDERERS[kind](signal, params or RenderParams())
 
 
-def render_view(signal: IqSignal, kind: ViewKind, params: RenderParams | None = None) -> np.ndarray:
+def render_view(signal: IqSignal, kind: str, params: RenderParams | None = None) -> np.ndarray:
     """Render one view as a deterministic (size, size, 3) uint8 RGB array."""
     return paint(*render_labels(signal, kind, params))

@@ -37,7 +37,6 @@ from emforge.manifest import (
     VIEW_ORDER,
     ConfigError,
     ManifestRecord,
-    ViewKind,
     gold_prediction,
     read_manifest,
     write_manifest,
@@ -341,7 +340,7 @@ class TestRecordErrors:
         spec = CorpusSpec.from_dict(self.SPEC)
         draft = builders.draft_record("MR", 2, "MCQA", spec)
         params = corpus._render_params(spec, draft.constellation_stride)
-        target = png.scanlines(render_view(draft.signal, ViewKind.FFT_SPECTRUM, params))
+        target = png.scanlines(render_view(draft.signal, "fft_spectrum", params))
         deflate = png.deflate_scanlines
 
         def failing(rows):
@@ -530,7 +529,7 @@ class TestBuildWritesRowsFromLabels:
     def test_render_view_paints_render_labels(self):
         spec = CorpusSpec.from_dict(self.SPEC)
         for _, draft, params in self._drafts(spec):
-            for kind in ViewKind:
+            for kind in VIEW_ORDER:
                 labels, palette = render_labels(draft.signal, kind, params)
                 assert labels.shape == (spec.image_size, spec.image_size)
                 assert labels.dtype in (np.bool_, np.uint8)
@@ -886,7 +885,7 @@ class TestDerivedViewPaths:
 
     def test_canonical_paths_follow_the_sample_id(self):
         assert manifest.canonical_view_paths("mr-00042") == tuple(
-            f"images/mr-00042_{kind.value}.png" for kind in ViewKind
+            f"images/mr-00042_{kind}.png" for kind in VIEW_ORDER
         )
 
     def test_write_of_read_reproduces_either_manifest(self, manifests, tmp_path):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from emforge import metrics
 from emforge.corpus import CorpusSpec, build_corpus
-from emforge.manifest import ManifestRecord, ScoreReport, TagKind, load_predictions
+from emforge.manifest import ManifestRecord, ScoreReport, load_predictions
 from emforge.metrics import (
     _CHUNK_TOKENS,
     BLEU_EPSILON,
@@ -727,16 +727,16 @@ class TestComposites:
 
 class TestParseTag:
     def test_answer_tag(self):
-        assert parse_tag("<answer>A</answer>", TagKind.ANSWER) == "A"
+        assert parse_tag("<answer>A</answer>", "answer") == "A"
 
     def test_first_match_with_noise(self):
-        assert parse_tag("noise text <mode>QPSK</mode> trailing", TagKind.MODE) == "QPSK"
+        assert parse_tag("noise text <mode>QPSK</mode> trailing", "mode") == "QPSK"
 
     def test_unterminated_absent(self):
-        assert parse_tag("<answer>A", TagKind.ANSWER) is None
+        assert parse_tag("<answer>A", "answer") is None
 
     def test_whitespace_trimmed(self):
-        assert parse_tag("<value>  10.5 </value>", TagKind.VALUE) == "10.5"
+        assert parse_tag("<value>  10.5 </value>", "value") == "10.5"
 
 
 def _record(sample_id, task, fmt, answer, snr=None, gt=None, options=None):

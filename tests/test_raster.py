@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emforge import views
-from emforge.manifest import ViewKind
 from emforge.raster import (
     WHITE,
     bucket_minmax,
@@ -240,5 +239,5 @@ def test_waveform_composition_matches_per_trace_overwrite(data, size):
     imag = data.draw(arrays(np.float64, real.shape, elements=_COMPONENT))
     signal = IqSignal(real + 1j * imag, 1e6)
     p = RenderParams(size=size)
-    got = render_view(signal, ViewKind.IQ_WAVEFORM, p)
+    got = render_view(signal, "iq_waveform", p)
     assert np.array_equal(got, oracle_render_waveform(signal, p))

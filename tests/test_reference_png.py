@@ -135,12 +135,18 @@ def _bad_streams():
     head = reference_png.SIGNATURE + _chunk(b"IHDR", ihdr)
     end = _chunk(b"IEND", b"")
     interlaced = _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 1, 8, 2, 0, 0, 1))
+    compression_1 = _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 1, 8, 2, 1, 0, 0))
+    filter_method_1 = _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 1, 8, 2, 0, 1, 0))
     return {
         "signature": (b"\x89PNG\r\n\x1a\x00" + good[8:], "no PNG signature"),
         "crc": (good[:-1] + bytes([good[-1] ^ 1]), "IEND chunk CRC mismatch"),
         "truncated": (good[:-6], "truncated chunk"),
         "depth-4-truecolour": (_png(2, 1, 4, 2, bytes(2)), "bit depth 4 is not allowed"),
         "interlaced": (reference_png.SIGNATURE + interlaced + idat + end, "Adam7"),
+        "compression-method-1": (reference_png.SIGNATURE + compression_1 + idat + end,
+                                 "compression method 1"),
+        "filter-method-1": (reference_png.SIGNATURE + filter_method_1 + idat + end,
+                            "filter method 1"),
         "indexed-without-plte": (_png(2, 1, 8, 3, bytes(3)), "without PLTE"),
         "plte-in-greyscale": (_png(2, 1, 8, 0, bytes(3), palette=[0, 0, 0]), "none may stand"),
         "index-past-palette": (_png(2, 1, 8, 3, bytes([0, 0, 1]), palette=[0, 0, 0]),
@@ -160,6 +166,12 @@ def test_streams_the_spec_forbids_raise(case):
     stream, message = _bad_streams()[case]
     with pytest.raises(ValueError, match=message):
         reference_png.decode(stream)
+
+
+@pytest.mark.parametrize("case", sorted(_bad_streams()))
+def test_emforge_decoder_rejects_what_the_spec_forbids(case):
+    with pytest.raises(ValueError):
+        png.decode_png(_bad_streams()[case][0])
 
 
 def test_every_view_of_a_rendered_build_decodes_alike(tmp_path):

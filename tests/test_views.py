@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emforge import png
-from emforge.manifest import VIEW_ORDER, ViewKind
+from emforge.manifest import VIEW_ORDER
 from emforge.raster import paint
 from emforge.signal import IqSignal
 from emforge.synth.channel import apply_awgn, gen_noise
-from emforge.synth.modulations import ModulationKind, modulate
-from emforge.synth.radar import Cw, RadarPulseSpec, gen_radar_pulse_train
+from emforge.synth.modulations import modulate
+from emforge.synth.radar import RadarPulseSpec, gen_radar_pulse_train
 from emforge.views import (
     RenderParams,
     StftParams,
@@ -108,7 +108,7 @@ class TestStft:
         # Parseval per frame: column energy equals window_len times the
         # windowed-envelope energy, computed here from index arithmetic.
         fs = 10e6
-        spec = RadarPulseSpec(4.0, 20.0, 3, 8.0, Cw())
+        spec = RadarPulseSpec(4.0, 20.0, 3, 8.0)
         sig = gen_radar_pulse_train(spec, 102.4, fs)
         wl, hop = 128, 32
         mat = stft(sig, StftParams(wl, hop))
@@ -152,7 +152,7 @@ def _components(mask):
 
 class TestRender:
     def test_determinism_byte_identical(self):
-        sig = apply_awgn(modulate(ModulationKind.QAM16, _rand_bits(1024), 8, 1e6), 10.0, 6)
+        sig = apply_awgn(modulate("QAM16", _rand_bits(1024), 8, 1e6), 10.0, 6)
         for kind in VIEW_ORDER:
             a = png.encode_png(render_view(sig, kind))
             b = png.encode_png(render_view(sig, kind))
@@ -166,8 +166,8 @@ class TestRender:
             assert img.dtype == np.uint8
 
     def test_noiseless_bpsk_two_clusters(self):
-        sig = modulate(ModulationKind.BPSK, _rand_bits(256), 1, 1e6)
-        img = render_view(sig, ViewKind.CONSTELLATION, RenderParams(constellation_stride=1))
+        sig = modulate("BPSK", _rand_bits(256), 1, 1e6)
+        img = render_view(sig, "constellation", RenderParams(constellation_stride=1))
         nonbackground = np.any(img != 255, axis=2)
         assert _components(nonbackground) == 2
 
@@ -178,7 +178,7 @@ class TestRender:
     def test_spectrogram_noise_floor_monotone(self):
         # Per-image normalization puts the -20 dB floor closer to the peak
         # than the +18 dB floor, for every seed.
-        clean = gen_radar_pulse_train(RadarPulseSpec(10.0, 40.0, 4, 5.0, Cw()), 204.8, 20e6)
+        clean = gen_radar_pulse_train(RadarPulseSpec(10.0, 40.0, 4, 5.0), 204.8, 20e6)
         for seed in range(20):
             low = normalized_db(stft(apply_awgn(clean, -20.0, seed)))
             high = normalized_db(stft(apply_awgn(clean, 18.0, seed)))
@@ -192,7 +192,7 @@ def _rand_bits(n):
 class TestPng:
     def test_roundtrip_and_stability(self):
         sig = gen_noise(1024, 1e6, 3)
-        img = render_view(sig, ViewKind.IQ_WAVEFORM)
+        img = render_view(sig, "iq_waveform")
         data1 = png.encode_png(img)
         data2 = png.encode_png(img)
         assert data1 == data2
@@ -288,6 +288,12 @@ class TestPng:
         with pytest.raises(ValueError, match="IDAT stream does not inflate"):
             png.decode_png(self._assemble(ihdr, zlib.compress(rows, 6)[:-9]))
 
+    def test_bytes_after_the_zlib_stream_are_a_value_error(self):
+        rows = png.scanlines(np.zeros((2, 3, 3), dtype=np.uint8))
+        ihdr = struct.pack(">IIBBBBB", 3, 2, 8, 2, 0, 0, 0)
+        with pytest.raises(ValueError, match="2 bytes follow the IDAT zlib stream"):
+            png.decode_png(self._assemble(ihdr, zlib.compress(rows, 6) + b"\x00\x00"))
+
     def test_short_ihdr_is_a_value_error(self):
         ihdr = struct.pack(">IIBBBB", 7, 6, 8, 2, 0, 0)
         with pytest.raises(ValueError, match="IHDR chunk holds 12 bytes, not 13"):
@@ -309,7 +315,7 @@ class TestPng:
 
         PIL_Image = pytest.importorskip("PIL.Image")
         sig = gen_noise(2048, 1e6, 9)
-        img = render_view(sig, ViewKind.STFT_SPECTROGRAM)
+        img = render_view(sig, "stft_spectrogram")
         with PIL_Image.open(io.BytesIO(png.encode_png(img))) as loaded:
             pixels = np.asarray(loaded.convert("RGB"))
         assert np.array_equal(pixels, img)
